@@ -17,7 +17,7 @@ from .matrix import (
 )
 from .pcap import CaptureStats, PacketRecord, parse_pcap
 from .synth import SynthSpec, read_ground_truth, synthesize, write_ground_truth
-from .tmf import CompressionReport, compression_report, read_tmf, write_tmf
+from .tmf import read_tmf, write_tmf
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "AnalysisReport",
     "AnonKey",
     "CaptureStats",
-    "CompressionReport",
     "DEFAULT_WINDOW_SIZE",
     "PacketRecord",
     "SensorError",
@@ -35,7 +34,6 @@ __all__ = [
     "analyze_many",
     "anonymize_ip",
     "build_windows",
-    "compression_report",
     "generate_key",
     "load_key",
     "merge",

@@ -83,10 +83,7 @@ def analyze_many(
     reports = [analyze(m) for m in ms]
     if not ms:
         return reports, AnalysisReport()
-    combined = ms[0]
-    for m in ms[1:]:
-        combined = merge(combined, m)
-    return reports, analyze(combined)
+    return reports, analyze(merge(*ms))
 
 
 def report_to_dict(report: AnalysisReport) -> dict:

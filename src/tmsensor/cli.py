@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
+import re
 import signal
 import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .analytics import analyze_many, format_report_text, report_to_dict
@@ -34,7 +35,7 @@ from .errors import (
 from .matrix import DEFAULT_WINDOW_SIZE, MAX_WINDOW_SIZE, MIN_WINDOW_SIZE, build_windows
 from .pcap import parse_pcap
 from .synth import SynthSpec, synthesize, write_ground_truth
-from .tmf import compression_report, read_tmf, tmf_filename, write_tmf
+from .tmf import read_tmf, tmf_filename, write_tmf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,9 +46,6 @@ KEY_PATH_ENV = "TMSENSOR_KEY"
 JOURNAL_NAME = "tmsensor.journal"
 
 _US_PER_HOUR = 3_600_000_000
-
-# Serializes output-name claiming across concurrent conversions.
-_naming_lock = threading.Lock()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +83,6 @@ class SensorConfig:
     poll_interval_secs: int = 60
     delete_after_convert: bool = False
     prefix: str = "tm"
-    convert_concurrency: int = 2
 
     def validate(self) -> None:
         if not self.key_path:
@@ -104,8 +101,6 @@ class SensorConfig:
             )
         if self.quiescence_secs < 1 or self.poll_interval_secs < 1:
             raise ConfigError("quiescence_secs and poll_interval_secs must be >= 1")
-        if self.convert_concurrency < 1:
-            raise ConfigError("convert_concurrency must be >= 1")
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
@@ -169,16 +164,41 @@ def convert_file(
     """Convert one capture into one matrix file; returns a summary dict.
 
     Truncated captures convert normally (with a warning on `log`); an empty
-    capture produces no output file. The output is written to a temporary
-    name and atomically renamed, so partially written matrix files are never
-    visible under their final name.
+    capture produces no output file. Windows stream from the parser into a
+    temporary file, which is then hard-linked to the first free
+    <prefix>-<hour>-<seq>.tmf name: the link fails rather than replace an
+    existing file, so no finished output is ever overwritten or partially
+    visible under its final name.
     """
     if log is None:
         log = sys.stderr  # resolved per call so stream redirection works
     digest = hashlib.sha256()
+    out_path = None
+    tmf_bytes = 0
     with open(pcap_path, "rb") as f:
         records, stats = parse_pcap(_HashingReader(f, digest))
-        matrices = list(build_windows(records, key, window_size))
+        windows = build_windows(records, key, window_size)
+        first = next(windows, None)
+        if first is not None:
+            hour = first.start_time_us // _US_PER_HOUR
+            tmp_fd, tmp_path = tempfile.mkstemp(
+                dir=out_dir, prefix=".part-", suffix=".tmf"
+            )
+            try:
+                with os.fdopen(tmp_fd, "wb") as out:
+                    umask = os.umask(0)
+                    os.umask(umask)
+                    os.fchmod(out.fileno(), 0o666 & ~umask)  # mkstemp forces 0600
+                    tmf_bytes = write_tmf(itertools.chain([first], windows), out)
+                for seq in itertools.count():
+                    out_path = os.path.join(out_dir, tmf_filename(prefix, hour, seq))
+                    try:
+                        os.link(tmp_path, out_path)
+                        break
+                    except FileExistsError:
+                        continue
+            finally:
+                os.unlink(tmp_path)
     pcap_bytes = os.stat(pcap_path).st_size
 
     if stats.truncated_tail:
@@ -188,33 +208,6 @@ def convert_file(
             file=log,
         )
 
-    out_path = None
-    tmf_bytes = 0
-    if matrices:
-        hour = matrices[0].start_time_us // _US_PER_HOUR
-        tmp_fd, tmp_path = tempfile.mkstemp(dir=out_dir, prefix=".part-", suffix=".tmf")
-        try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(tmp_fd, 0o666 & ~umask)  # mkstemp forces 0600
-            with os.fdopen(tmp_fd, "wb") as out:
-                tmf_bytes = write_tmf(matrices, out)
-            with _naming_lock:
-                seq = 0
-                while True:
-                    candidate = os.path.join(out_dir, tmf_filename(prefix, hour, seq))
-                    if not os.path.exists(candidate):
-                        break
-                    seq += 1
-                os.replace(tmp_path, candidate)
-            out_path = candidate
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
     if delete_after:
         os.unlink(pcap_path)
 
@@ -222,7 +215,7 @@ def convert_file(
         "pcap_path": pcap_path,
         "pcap_bytes": pcap_bytes,
         "stats": stats,
-        "window_count": len(matrices),
+        "window_count": -(-stats.valid_ip_packets // window_size),
         "tmf_path": out_path,
         "tmf_bytes": tmf_bytes,
         "digest": digest.hexdigest(),
@@ -287,10 +280,9 @@ def cmd_convert(args) -> int:
     if summary["tmf_path"] is None:
         print("0 packets, no matrix file written")
         return EXIT_OK
-    report = compression_report(summary["pcap_bytes"], summary["tmf_bytes"])
     print(f"tmf={summary['tmf_path']}")
     print(f"tmf_bytes={summary['tmf_bytes']}")
-    print(f"compression_ratio={float(report.ratio):.2f}")
+    print(f"compression_ratio={summary['pcap_bytes'] / summary['tmf_bytes']:.2f}")
     return EXIT_OK
 
 
@@ -367,33 +359,36 @@ def cmd_synth(args) -> int:
 
 # --- watch daemon ---
 
+_JOURNAL_LINE = re.compile(r"([0-9a-fA-F]{64}) (.+)")
+
+
 def load_journal(path: str) -> dict[str, str]:
-    """Map of processed capture name -> content digest."""
+    """Map of processed capture name -> content digest.
+
+    Each line is a 64-hex-digit digest, one space, and the rest of the line
+    as the name, so names keep leading and trailing spaces. Names that are
+    not valid UTF-8 round-trip through surrogate escapes, as os.listdir
+    returns them.
+    """
     entries: dict[str, str] = {}
     try:
-        f = open(path, encoding="utf-8")
+        f = open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
     except FileNotFoundError:
         return entries
     with f:
         for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
+            line = line.removesuffix("\n")
             if not line.strip():
                 continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2 or len(parts[0]) != 64:
+            match = _JOURNAL_LINE.fullmatch(line)
+            if match is None:
                 raise JournalError(f"{path}:{lineno}: unparseable journal line")
-            try:
-                int(parts[0], 16)
-            except ValueError:
-                raise JournalError(
-                    f"{path}:{lineno}: digest is not hexadecimal"
-                ) from None
-            entries[parts[1]] = parts[0]
+            entries[match[2]] = match[1]
     return entries
 
 
 def append_journal(path: str, digest: str, name: str) -> None:
-    with open(path, "a", encoding="utf-8") as f:
+    with open(path, "a", encoding="utf-8", errors="surrogateescape") as f:
         f.write(f"{digest} {name}\n")
         f.flush()
         os.fsync(f.fileno())
@@ -433,21 +428,24 @@ def watch_loop(
 ) -> None:
     """Poll input_dir and convert each new quiescent capture exactly once.
 
-    The journal in output_dir survives restarts; failures are logged,
-    skipped, and retried only when the file changes or the daemon restarts.
+    Captures convert one at a time in name order, so a spool maps the same
+    captures to the same output names on every run. The journal in
+    output_dir survives restarts; failures are logged, skipped, and retried
+    only when the file changes or the daemon restarts. A name holding a line
+    break cannot be journaled, so it counts as a failure.
     """
     if log is None:
         log = sys.stderr
     journal_file = os.path.join(cfg.output_dir, JOURNAL_NAME)
     journal = load_journal(journal_file)
     failed: set[tuple[str, int]] = set()
-    journal_lock = threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=cfg.convert_concurrency) as pool:
-        while True:
-            batch = {
-                pool.submit(
-                    convert_file,
+    while True:
+        for name, path, mtime_ns in _scan_candidates(cfg, journal, failed):
+            try:
+                if "\n" in name or "\r" in name:
+                    raise JournalError(f"{name!r}: the journal cannot record a line break")
+                summary = convert_file(
                     key,
                     cfg.window_size,
                     path,
@@ -455,31 +453,25 @@ def watch_loop(
                     cfg.prefix,
                     delete_after=cfg.delete_after_convert,
                     log=log,
-                ): (name, mtime_ns)
-                for name, path, mtime_ns in _scan_candidates(cfg, journal, failed)
-            }
-            for future, (name, mtime_ns) in batch.items():
-                try:
-                    summary = future.result()
-                except FileNotFoundError:
-                    continue  # vanished between scan and open
-                except (SensorError, OSError) as exc:
-                    print(f"[watch] {name}: conversion failed: {exc}", file=log)
-                    failed.add((name, mtime_ns))
-                    continue
-                with journal_lock:
-                    append_journal(journal_file, summary["digest"], name)
-                    journal[name] = summary["digest"]
-                print(
-                    f"[watch] converted {name} -> "
-                    f"{summary['tmf_path'] or '(empty capture, no output)'}",
-                    file=log,
                 )
-            if once or stop_event.is_set():
-                return
-            stop_event.wait(cfg.poll_interval_secs)
-            if stop_event.is_set():
-                return
+            except FileNotFoundError:
+                continue  # vanished between scan and open
+            except (SensorError, OSError) as exc:
+                print(f"[watch] {name}: conversion failed: {exc}", file=log)
+                failed.add((name, mtime_ns))
+                continue
+            append_journal(journal_file, summary["digest"], name)
+            journal[name] = summary["digest"]
+            print(
+                f"[watch] converted {name} -> "
+                f"{summary['tmf_path'] or '(empty capture, no output)'}",
+                file=log,
+            )
+        if once or stop_event.is_set():
+            return
+        stop_event.wait(cfg.poll_interval_secs)
+        if stop_event.is_set():
+            return
 
 
 def cmd_watch(args) -> int:

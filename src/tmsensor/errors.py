@@ -44,22 +44,16 @@ class KeyFileError(SensorError):
 # --- traffic matrices ---
 
 class KeyMismatch(SensorError):
-    """Matrices were built under different anonymization keys."""
+    """Matrices built under different anonymization keys were merged or
+    written to one file."""
 
 
 class WindowSizeMismatch(SensorError):
-    """Matrices were built with different window sizes."""
+    """Matrices built with different window sizes were merged or written to
+    one file."""
 
 
 # --- matrix file codec ---
-
-class MixedKeys(SensorError):
-    """A single output file cannot mix matrices from different keys."""
-
-
-class MixedWindowSizes(SensorError):
-    """A single output file cannot mix window sizes."""
-
 
 class UnknownVersion(SensorError):
     """Matrix file declares a format version this reader does not know."""

@@ -125,29 +125,25 @@ def build_windows(
         yield TrafficMatrix(window_size, count, t_min, t_max, key_id, entries)
 
 
-def merge(a: TrafficMatrix, b: TrafficMatrix) -> TrafficMatrix:
-    """Element-wise sum of two matrices built under the same key and window size."""
-    if a.key_id != b.key_id:
-        raise KeyMismatch(
-            f"cannot merge matrices from different keys "
-            f"({a.key_id.hex()} vs {b.key_id.hex()})"
-        )
-    if a.window_size != b.window_size:
-        raise WindowSizeMismatch(
-            f"cannot merge window sizes {a.window_size} and {b.window_size}"
-        )
-    entries = dict(a.entries)
-    for cell, count in b.entries.items():
-        entries[cell] = entries.get(cell, 0) + count
+def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
+    """Element-wise sum of matrices built under the same key and window size."""
+    entries = dict(first.entries)
+    packets = first.packet_count
+    for m in rest:
+        if m.key_id != first.key_id:
+            raise KeyMismatch(
+                f"cannot merge matrices from different keys "
+                f"({first.key_id.hex()} vs {m.key_id.hex()})"
+            )
+        if m.window_size != first.window_size:
+            raise WindowSizeMismatch(
+                f"cannot merge window sizes {first.window_size} and {m.window_size}"
+            )
+        for cell, count in m.entries.items():
+            entries[cell] = entries.get(cell, 0) + count
+        packets += m.packet_count
 
-    if a.is_empty:
-        start, end = b.start_time_us, b.end_time_us
-    elif b.is_empty:
-        start, end = a.start_time_us, a.end_time_us
-    else:
-        start = min(a.start_time_us, b.start_time_us)
-        end = max(a.end_time_us, b.end_time_us)
-
-    return TrafficMatrix(
-        a.window_size, a.packet_count + b.packet_count, start, end, a.key_id, entries
-    )
+    nonempty = [m for m in (first, *rest) if not m.is_empty]
+    start = min((m.start_time_us for m in nonempty), default=0)
+    end = max((m.end_time_us for m in nonempty), default=0)
+    return TrafficMatrix(first.window_size, packets, start, end, first.key_id, entries)

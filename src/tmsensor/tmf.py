@@ -23,18 +23,16 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import (
     BadMagic,
     CorruptPayload,
     InvariantViolation,
-    MixedKeys,
-    MixedWindowSizes,
+    KeyMismatch,
     UnknownScheme,
     UnknownVersion,
+    WindowSizeMismatch,
 )
 from .matrix import TrafficMatrix
 
@@ -52,8 +50,12 @@ assert HEADER_LEN == 64
 # Pinned so output stays canonical; payloads are small, so level 9 is cheap.
 _DEFLATE_LEVEL = 9
 
-# Upper bound on varint bytes per (row_delta, col, count) triple.
+# Bounds on varint bytes per (row_delta, col, count) triple.
+_MIN_TRIPLE_LEN = 3
 _MAX_TRIPLE_LEN = 30
+
+# Raw deflate emits at most 258 bytes per 2 bits of input.
+_MAX_INFLATE_RATIO = 1032
 
 
 class TmfBlockHeader(NamedTuple):
@@ -84,9 +86,9 @@ def write_tmf(
         if ref_key is None:
             ref_key, ref_window = m.key_id, m.window_size
         elif m.key_id != ref_key:
-            raise MixedKeys("matrices in one file must share a key")
+            raise KeyMismatch("matrices in one file must share a key")
         elif m.window_size != ref_window:
-            raise MixedWindowSizes("matrices in one file must share a window size")
+            raise WindowSizeMismatch("matrices in one file must share a window size")
         m.validate()
 
         raw = _encode_entries(m.sorted_entries())
@@ -118,41 +120,30 @@ def write_tmf(
 
 def read_tmf(source: BinaryIO) -> list[TrafficMatrix]:
     """Parse a TMF byte stream back into matrices, validating every block."""
-    matrices = []
-    first = True
-    while True:
-        header = source.read(HEADER_LEN)
-        if not header and not first:
-            return matrices
-        fields = _parse_header(header, first)
-        first = False
-
-        payload = source.read(fields[-1])
-        if len(payload) < fields[-1]:
-            raise CorruptPayload("file ends inside a block payload")
-        matrices.append(_decode_block(fields, payload))
+    return [_decode_block(header, payload) for header, payload in _blocks(source)]
 
 
 def iter_block_headers(source: BinaryIO) -> Iterator[TmfBlockHeader]:
     """Scan block headers without decoding payloads (forward skip only)."""
+    return (header for header, _ in _blocks(source))
+
+
+def _blocks(source: BinaryIO) -> Iterator[tuple[TmfBlockHeader, bytes]]:
+    """The one block-framing loop: each block's parsed header and raw payload."""
     first = True
     while True:
-        header = source.read(HEADER_LEN)
-        if not header and not first:
+        raw = source.read(HEADER_LEN)
+        if not raw and not first:
             return
-        (_, flags, window_size, packet_count, start, end, key_id, _, entry_count,
-         payload_len) = _parse_header(header, first)
+        header = _parse_header(raw, first)
         first = False
-        skipped = source.read(payload_len)
-        if len(skipped) < payload_len:
+        payload = source.read(header.payload_len)
+        if len(payload) < header.payload_len:
             raise CorruptPayload("file ends inside a block payload")
-        yield TmfBlockHeader(
-            window_size, packet_count, start, end, key_id, flags, entry_count,
-            payload_len,
-        )
+        yield header, payload
 
 
-def _parse_header(header: bytes, first: bool):
+def _parse_header(header: bytes, first: bool) -> TmfBlockHeader:
     if len(header) < HEADER_LEN:
         if first and (len(header) < 4 or header[:4] != MAGIC):
             raise BadMagic(
@@ -173,21 +164,27 @@ def _parse_header(header: bytes, first: bool):
         raise CorruptPayload(f"reserved flag bits set ({flags:#06x})")
     if reserved != b"\x00\x00\x00":
         raise CorruptPayload("reserved header bytes are not zero")
-    return (
-        version, flags, window_size, packet_count, start, end, key_id,
-        scheme, entry_count, payload_len,
+    max_raw = payload_len * (_MAX_INFLATE_RATIO if flags & FLAG_DEFLATE else 1)
+    if entry_count * _MIN_TRIPLE_LEN > max_raw:
+        raise CorruptPayload(
+            f"{entry_count} entries cannot fit a {payload_len}-byte payload"
+        )
+    return TmfBlockHeader(
+        window_size, packet_count, start, end, key_id, flags, entry_count,
+        payload_len,
     )
 
 
-def _decode_block(fields, payload: bytes) -> TrafficMatrix:
-    (_, flags, window_size, packet_count, start, end, key_id, _, entry_count,
-     _) = fields
-    if flags & FLAG_DEFLATE:
-        raw = _inflate(payload, entry_count * _MAX_TRIPLE_LEN)
+def _decode_block(header: TmfBlockHeader, payload: bytes) -> TrafficMatrix:
+    if header.flags & FLAG_DEFLATE:
+        raw = _inflate(payload, header.entry_count * _MAX_TRIPLE_LEN)
     else:
         raw = payload
-    entries = _decode_entries(raw, entry_count)
-    m = TrafficMatrix(window_size, packet_count, start, end, key_id, entries)
+    entries = _decode_entries(raw, header.entry_count)
+    m = TrafficMatrix(
+        header.window_size, header.packet_count, header.start_time_us,
+        header.end_time_us, header.key_id, entries,
+    )
     m.validate()  # raises InvariantViolation on count/time inconsistency
     return m
 
@@ -273,27 +270,6 @@ def _inflate(data: bytes, max_out: int) -> bytes:
     if decomp.unused_data:
         raise CorruptPayload("trailing bytes after deflate stream")
     return raw
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    """Input sizes plus their exact ratio."""
-
-    pcap_bytes: int
-    tmf_bytes: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.pcap_bytes, self.tmf_bytes)
-
-
-def compression_report(pcap_bytes: int, tmf_bytes: int) -> CompressionReport:
-    """How much smaller the matrix file is than its source capture."""
-    if pcap_bytes < 0 or tmf_bytes < 0:
-        raise ValueError("sizes must be non-negative")
-    if tmf_bytes == 0:
-        raise ValueError("tmf_bytes must be positive")
-    return CompressionReport(pcap_bytes, tmf_bytes)
 
 
 def tmf_filename(prefix: str, epoch_hour: int, seq: int) -> str:

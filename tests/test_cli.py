@@ -2,14 +2,20 @@
 
 import json
 import os
+import struct
+import tempfile
+import threading
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmsensor import cli
 from tmsensor.anon import load_key, save_key
 from tmsensor.errors import ConfigError
 from tmsensor.synth import SynthSpec, synthesize
-from tmsensor.tmf import read_tmf
+from tmsensor.tmf import MAGIC, read_tmf
 
 from conftest import eth_ipv4_capture, pcap_header
 
@@ -125,6 +131,51 @@ def test_convert_sequence_number_increments(tmp_path, key_file, small_pcap, caps
         assert cli.main(["convert", pcap_path, "--key", key_file,
                          "--out-dir", str(out_dir)]) == 0
         assert (out_dir / f"tm-{hour}-{seq:03d}.tmf").exists()
+
+
+def test_convert_never_overwrites_an_existing_output(tmp_path, key_file,
+                                                    small_pcap, capsys):
+    pcap_path, _, spec = small_pcap
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    hour = spec.start_time_us // 3_600_000_000
+    taken = out_dir / f"tm-{hour}-000.tmf"
+    taken.write_bytes(b"finished output of another sensor")
+    assert cli.main(["convert", pcap_path, "--key", key_file,
+                     "--out-dir", str(out_dir)]) == 0
+    assert taken.read_bytes() == b"finished output of another sensor"
+    assert kv_lines(capsys.readouterr().out)["tmf"] == str(
+        out_dir / f"tm-{hour}-001.tmf"
+    )
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        f"tm-{hour}-000.tmf", f"tm-{hour}-001.tmf",
+    ]
+
+
+def test_convert_file_streams_windows(tmp_path, fixed_key, small_pcap,
+                                      monkeypatch):
+    pcap_path, _, _ = small_pcap
+    real_build_windows = cli.build_windows
+    live = most_live = 0
+
+    def freed():
+        nonlocal live
+        live -= 1
+
+    def tracked(records, key, window_size):
+        nonlocal live, most_live
+        for m in real_build_windows(records, key, window_size):
+            weakref.finalize(m, freed)
+            live += 1
+            most_live = max(most_live, live)
+            yield m
+
+    monkeypatch.setattr(cli, "build_windows", tracked)
+    summary = cli.convert_file(fixed_key, 100, pcap_path, str(tmp_path))
+    assert summary["window_count"] == 50
+    with open(summary["tmf_path"], "rb") as f:
+        assert len(read_tmf(f)) == 50
+    assert most_live <= 3
 
 
 def test_convert_prefix_flag(tmp_path, key_file, small_pcap, capsys):
@@ -294,6 +345,17 @@ def test_analyze_corrupted_file_names_the_offender(converted, tmp_path, capsys):
     assert tmf_path not in err
 
 
+def test_analyze_huge_entry_count_is_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.tmf"
+    path.write_bytes(struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 1, 16, 1, 1, 2, b"\x0b" * 8, 1,
+        b"\x00" * 3, (1 << 64) - 1, 3,
+    ) + b"\x03\x00\x00")
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_analyze_not_a_tmf_is_data_error(tmp_path, capsys):
     junk = tmp_path / "junk.tmf"
     junk.write_bytes(b"not a matrix file at all")
@@ -326,7 +388,6 @@ def test_config_parses_values_comments_and_defaults(tmp_path, key_file):
     assert cfg.delete_after_convert is True
     assert cfg.quiescence_secs == 120
     assert cfg.poll_interval_secs == 60
-    assert cfg.convert_concurrency == 2
     assert cfg.prefix == "tm"
     cfg.validate()
 
@@ -338,6 +399,7 @@ def test_config_parses_values_comments_and_defaults(tmp_path, key_file):
         "window_size = not_a_number",
         "delete_after_convert = maybe",
         "just some words",
+        "convert_concurrency = 2",
     ],
 )
 def test_config_rejects_bad_lines(tmp_path, line):
@@ -353,7 +415,6 @@ def test_config_rejects_bad_lines(tmp_path, line):
         "window_size = 33554432",
         "quiescence_secs = 0",
         "poll_interval_secs = 0",
-        "convert_concurrency = 0",
     ],
 )
 def test_config_validation_bounds(tmp_path, key_file, overrides):
@@ -498,6 +559,115 @@ def test_watch_delete_after_convert(tmp_path, key_file, old_mtime, capsys):
     assert cli.main(["watch", "--config", cfg, "--once"]) == 0
     assert not path.exists()
     assert len(tmf_files(out_dir)) == 1
+
+
+def test_watch_names_outputs_by_capture_name_order(tmp_path, key_file,
+                                                  old_mtime, capsys):
+    in_dir = tmp_path / "drop"
+    in_dir.mkdir()
+    # The first capture by name is the largest, so it would finish last
+    # if captures converted in parallel.
+    for name, packets in (("a.pcap", 9000), ("b.pcap", 1500),
+                          ("c.pcap", 3000), ("d.pcap", 600)):
+        with open(in_dir / name, "wb") as f:
+            synthesize(SynthSpec(host_count=24, packet_count=packets, seed=3), f)
+        old_mtime(in_dir / name)
+
+    contents = []
+    for run in ("one", "two"):
+        out_dir = tmp_path / run
+        out_dir.mkdir()
+        cfg = write_config(
+            tmp_path,
+            f"key_path = {key_file}\ninput_dir = {in_dir}\n"
+            f"output_dir = {out_dir}\nwindow_size = 1024\nquiescence_secs = 60\n",
+        )
+        assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+        contents.append({p: (out_dir / p).read_bytes() for p in tmf_files(out_dir)})
+    assert contents[0] == contents[1]
+    assert len(contents[0]) == 4
+
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    assert cli.main(["convert", str(in_dir / "a.pcap"), "--key", key_file,
+                     "--out-dir", str(alone), "--window-size", "1024"]) == 0
+    assert contents[0]["tm-0-000.tmf"] == (alone / "tm-0-000.tmf").read_bytes()
+
+
+def test_watch_keeps_leading_space_in_journaled_names(watch_setup, capsys):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop(" lead.pcap", seed=10)
+    for _ in range(2):
+        assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    assert len(tmf_files(out_dir)) == 1
+    journal = cli.load_journal(str(out_dir / "tmsensor.journal"))
+    assert list(journal) == [" lead.pcap"]
+
+
+class _StopAfterPolls(threading.Event):
+    """Stop event that sets itself once the loop has waited `polls` times."""
+
+    def __init__(self, polls):
+        super().__init__()
+        self.polls = polls
+
+    def wait(self, timeout=None):
+        self.polls -= 1
+        if self.polls <= 0:
+            self.set()
+        return self.is_set()
+
+
+def test_watch_line_break_in_name_is_a_failed_capture(watch_setup, fixed_key,
+                                                      capsys):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    drop("evil\nname.pcap", seed=11)
+    drop("good.pcap", seed=12)
+    cfg = cli.parse_config(cfg_path)
+    with tempfile.TemporaryFile("w+") as log:
+        cli.watch_loop(cfg, fixed_key, _StopAfterPolls(2), log=log)
+        log.seek(0)
+        assert log.read().count("conversion failed") == 1
+    assert len(tmf_files(out_dir)) == 1
+    journal = (out_dir / "tmsensor.journal").read_text()
+    assert "good.pcap" in journal and "evil" not in journal
+
+    # Restartable: the journal still loads and nothing converts twice.
+    assert cli.main(["watch", "--config", cfg_path, "--once"]) == 0
+    assert cli.main(["watch", "--config", cfg_path, "--once"]) == 0
+    assert len(tmf_files(out_dir)) == 1
+
+
+def test_watch_journals_names_that_are_not_utf8(watch_setup, fixed_key):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    drop(os.fsdecode(b"caf\xe9.pcap"), seed=13)
+    cfg = cli.parse_config(cfg_path)
+    # Like sys.stderr, the log escapes what it cannot encode.
+    with tempfile.TemporaryFile("w+", errors="backslashreplace") as log:
+        for _ in range(2):
+            cli.watch_loop(cfg, fixed_key, threading.Event(), once=True, log=log)
+    assert len(tmf_files(out_dir)) == 1
+
+
+journal_names = st.one_of(
+    st.text(st.characters(blacklist_characters="\n\r",
+                          blacklist_categories=("Cs",)), min_size=1),
+    st.binary(min_size=1)
+    .filter(lambda b: b"\n" not in b and b"\r" not in b)
+    .map(lambda b: b.decode("utf-8", "surrogateescape")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(journal_names,
+                       st.binary(min_size=32, max_size=32).map(bytes.hex),
+                       max_size=8))
+def test_journal_round_trips_every_name(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tmsensor.journal")
+        for name, digest in entries.items():
+            cli.append_journal(path, digest, name)
+        assert cli.load_journal(path) == entries
 
 
 def test_watch_malformed_journal_is_data_error(watch_setup, capsys):

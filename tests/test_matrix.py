@@ -191,6 +191,27 @@ def test_merge_associates(e1, e2, e3):
 
 
 @settings(max_examples=100, deadline=None)
+@given(entries_strategy, entries_strategy, entries_strategy)
+def test_merge_n_ary_equals_pairwise_fold(e1, e2, e3):
+    a, b, c = matrix_from(e1), matrix_from(e2, 77), matrix_from(e3, 123456)
+    assert merge(a, b, c) == merge(merge(a, b), c)
+    assert merge(a) == a
+
+
+@pytest.mark.parametrize(
+    "third, error",
+    [
+        (TrafficMatrix(512, 0, 0, 0, b"\x02" * 8, {}), KeyMismatch),
+        (TrafficMatrix(1024, 0, 0, 0, b"\x09" * 8, {}), WindowSizeMismatch),
+    ],
+)
+def test_merge_checks_every_argument(third, error):
+    a, b = matrix_from({(1, 2): 3}), matrix_from({(2, 1): 1})
+    with pytest.raises(error):
+        merge(a, b, third)
+
+
+@settings(max_examples=100, deadline=None)
 @given(entries_strategy, entries_strategy)
 def test_merge_conserves_mass_and_validates(e1, e2):
     a, b = matrix_from(e1), matrix_from(e2)

@@ -4,7 +4,6 @@ import io
 import random
 import struct
 import zlib
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +13,15 @@ from tmsensor.errors import (
     BadMagic,
     CorruptPayload,
     InvariantViolation,
-    MixedKeys,
-    MixedWindowSizes,
+    KeyMismatch,
     UnknownScheme,
     UnknownVersion,
+    WindowSizeMismatch,
 )
 from tmsensor.matrix import TrafficMatrix
 from tmsensor.tmf import (
     HEADER_LEN,
     MAGIC,
-    compression_report,
     iter_block_headers,
     read_tmf,
     tmf_filename,
@@ -235,6 +233,51 @@ def test_varint_past_64_bits_rejected():
         read_bytes(header + payload)
 
 
+def huge_entry_count_block() -> bytes:
+    """67 bytes: a deflated 3-byte payload claiming 2**64 - 1 entries."""
+    payload = b"\x03\x00\x00"
+    header = struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 1, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
+        (1 << 64) - 1, len(payload),
+    )
+    return header + payload
+
+
+@pytest.mark.parametrize("flags", [0, 1])
+def test_entry_count_beyond_payload_capacity_rejected(flags):
+    data = bytearray(huge_entry_count_block())
+    assert len(data) == 67
+    struct.pack_into("<H", data, 6, flags)
+    with pytest.raises(CorruptPayload):
+        read_bytes(bytes(data))
+    with pytest.raises(CorruptPayload):
+        list(iter_block_headers(io.BytesIO(bytes(data))))
+
+
+def test_uncompressed_entry_count_bound_is_exact():
+    # One (0, 5, 1) triple is 3 bytes: 1 entry fits, 2 do not.
+    payload = bytes.fromhex("000501")
+    for entry_count, ok in ((1, True), (2, False)):
+        header = struct.pack(
+            "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
+            entry_count, len(payload),
+        )
+        if ok:
+            assert read_bytes(header + payload)[0].entries == {(0, 5): 1}
+        else:
+            with pytest.raises(CorruptPayload, match="cannot fit"):
+                read_bytes(header + payload)
+
+
+def test_highly_compressible_block_is_not_rejected():
+    # Every triple is (1, 5, 1) after the first: deflate gets near its limit.
+    n = 100_000
+    m = TrafficMatrix(1 << 17, n, 1, 2, KEY_ID, {(row, 5): 1 for row in range(n)})
+    data = write_bytes([m])
+    assert 3 * n > 900 * (len(data) - HEADER_LEN)
+    assert read_bytes(data) == [m]
+
+
 def test_truncated_payload_rejected():
     m = TrafficMatrix(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
     data = write_bytes([m])
@@ -262,14 +305,14 @@ def test_second_block_with_bad_magic_is_corruption_not_bad_magic():
 def test_write_rejects_mixed_keys():
     a = TrafficMatrix(16, 0, 0, 0, b"\x01" * 8, {})
     b = TrafficMatrix(16, 0, 0, 0, b"\x02" * 8, {})
-    with pytest.raises(MixedKeys):
+    with pytest.raises(KeyMismatch):
         write_bytes([a, b])
 
 
 def test_write_rejects_mixed_window_sizes():
     a = TrafficMatrix(16, 0, 0, 0, KEY_ID, {})
     b = TrafficMatrix(32, 0, 0, 0, KEY_ID, {})
-    with pytest.raises(MixedWindowSizes):
+    with pytest.raises(WindowSizeMismatch):
         write_bytes([a, b])
 
 
@@ -308,23 +351,6 @@ def test_round_trip_property(entry_dicts, compress):
     data = write_bytes(ms, compress=compress)
     assert read_bytes(data) == ms
     assert write_bytes(read_bytes(data), compress=compress) == data
-
-
-def test_compression_report_large_capture_sizes():
-    report = compression_report(20_971_520, 6_144)
-    assert report.ratio == Fraction(20_971_520, 6_144)
-    assert float(report.ratio) == pytest.approx(3413.33, abs=0.01)
-
-
-def test_compression_report_equal_sizes():
-    assert float(compression_report(12345, 12345).ratio) == 1.0
-
-
-def test_compression_report_rejects_zero_tmf():
-    with pytest.raises(ValueError):
-        compression_report(100, 0)
-    with pytest.raises(ValueError):
-        compression_report(-1, 10)
 
 
 def test_filename_convention():

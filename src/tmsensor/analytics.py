@@ -8,9 +8,8 @@ reports are deterministic and directly comparable across windows.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .matrix import TrafficMatrix, merge
@@ -87,41 +86,21 @@ def analyze_many(
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Report as a plain dict (histogram keys stay ints)."""
-    return {
-        "valid_packets": report.valid_packets,
-        "unique_links": report.unique_links,
-        "unique_sources": report.unique_sources,
-        "unique_destinations": report.unique_destinations,
-        "max_link_packets": report.max_link_packets,
-        "max_source_packets": report.max_source_packets,
-        "max_source_fanout": report.max_source_fanout,
-        "max_destination_packets": report.max_destination_packets,
-        "max_destination_fanin": report.max_destination_fanin,
-        "fanout_histogram": dict(sorted(report.fanout_histogram.items())),
-        "fanin_histogram": dict(sorted(report.fanin_histogram.items())),
-    }
+    """Report as a plain dict in field order, histograms sorted by degree."""
+    doc = {}
+    for f in fields(AnalysisReport):
+        value = getattr(report, f.name)
+        doc[f.name] = dict(sorted(value.items())) if isinstance(value, dict) else value
+    return doc
 
 
 def format_report_text(report: AnalysisReport) -> str:
     """Flat name=value text form, histograms as fanout[d]=n / fanin[d]=n."""
-    lines = [
-        f"valid_packets={report.valid_packets}",
-        f"unique_links={report.unique_links}",
-        f"unique_sources={report.unique_sources}",
-        f"unique_destinations={report.unique_destinations}",
-        f"max_link_packets={report.max_link_packets}",
-        f"max_source_packets={report.max_source_packets}",
-        f"max_source_fanout={report.max_source_fanout}",
-        f"max_destination_packets={report.max_destination_packets}",
-        f"max_destination_fanin={report.max_destination_fanin}",
-    ]
-    for degree, n in sorted(report.fanout_histogram.items()):
-        lines.append(f"fanout[{degree}]={n}")
-    for degree, n in sorted(report.fanin_histogram.items()):
-        lines.append(f"fanin[{degree}]={n}")
+    lines = []
+    for name, value in report_to_dict(report).items():
+        if name.endswith("_histogram"):
+            prefix = name.removesuffix("_histogram")
+            lines.extend(f"{prefix}[{degree}]={n}" for degree, n in value.items())
+        else:
+            lines.append(f"{name}={value}")
     return "\n".join(lines)
-
-
-def format_report_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)

@@ -56,16 +56,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_WINDOW_SIZE_RULE = (
+    f"window size must be a power of two in [{MIN_WINDOW_SIZE}, {MAX_WINDOW_SIZE}]"
+)
+
+
+def _valid_window_size(value: int) -> bool:
+    return MIN_WINDOW_SIZE <= value <= MAX_WINDOW_SIZE and not value & (value - 1)
+
+
 def _window_size_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not (MIN_WINDOW_SIZE <= value <= MAX_WINDOW_SIZE) or value & (value - 1):
-        raise argparse.ArgumentTypeError(
-            f"window size must be a power of two in "
-            f"[{MIN_WINDOW_SIZE}, {MAX_WINDOW_SIZE}]"
-        )
+    if not _valid_window_size(value):
+        raise argparse.ArgumentTypeError(_WINDOW_SIZE_RULE)
     return value
 
 
@@ -91,14 +97,8 @@ class SensorConfig:
             )
         if not self.input_dir or not self.output_dir:
             raise ConfigError("input_dir and output_dir are required")
-        if (
-            not (MIN_WINDOW_SIZE <= self.window_size <= MAX_WINDOW_SIZE)
-            or self.window_size & (self.window_size - 1)
-        ):
-            raise ConfigError(
-                f"window_size must be a power of two in "
-                f"[{MIN_WINDOW_SIZE}, {MAX_WINDOW_SIZE}]"
-            )
+        if not _valid_window_size(self.window_size):
+            raise ConfigError(_WINDOW_SIZE_RULE)
         if self.quiescence_secs < 1 or self.poll_interval_secs < 1:
             raise ConfigError("quiescence_secs and poll_interval_secs must be >= 1")
 
@@ -109,30 +109,34 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True,
 
 def parse_config(path: str) -> SensorConfig:
     cfg = SensorConfig()
-    known = {f.name: f.type for f in fields(SensorConfig)}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            name, value = name.strip(), value.strip()
-            if name not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown setting {name!r}")
-            current = getattr(cfg, name)
-            try:
-                if isinstance(current, bool):
-                    setattr(cfg, name, _BOOL_VALUES[value.lower()])
-                elif isinstance(current, int):
-                    setattr(cfg, name, int(value))
-                else:
-                    setattr(cfg, name, value)
-            except (KeyError, ValueError):
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value {value!r} for {name}"
-                ) from None
+    known = {f.name for f in fields(SensorConfig)}
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        name, value = name.strip(), value.strip()
+        if name not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown setting {name!r}")
+        current = getattr(cfg, name)
+        try:
+            if isinstance(current, bool):
+                setattr(cfg, name, _BOOL_VALUES[value.lower()])
+            elif isinstance(current, int):
+                setattr(cfg, name, int(value))
+            else:
+                setattr(cfg, name, value)
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"{path}:{lineno}: bad value {value!r} for {name}"
+            ) from None
     return cfg
 
 
@@ -224,15 +228,6 @@ def convert_file(
 
 # --- subcommands ---
 
-def _resolve_key_path(flag_value):
-    if flag_value:
-        return flag_value
-    env = os.environ.get(KEY_PATH_ENV)
-    if env:
-        return env
-    return None
-
-
 def _load_key_file(path: str) -> AnonKey:
     with open(path, "rb") as f:
         return load_key(f)
@@ -254,8 +249,8 @@ def cmd_genkey(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    key_path = _resolve_key_path(args.key)
-    if key_path is None:
+    key_path = args.key or os.environ.get(KEY_PATH_ENV)
+    if not key_path:
         print(f"error: no key file given (use --key or ${KEY_PATH_ENV})",
               file=sys.stderr)
         return EXIT_USAGE
@@ -572,9 +567,6 @@ def main(argv=None) -> int:
     except (ConfigError, EntropyUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENV
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except SensorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -16,15 +16,7 @@ class PcapngUnsupported(BadMagic):
 
 
 class UnsupportedLinkType(SensorError):
-    """Capture uses a link type the parser cannot dissect.
-
-    Carries the stats accumulated before the abort in ``.stats`` (the link
-    type lives in the global header, so these are normally all zero).
-    """
-
-    def __init__(self, message, stats=None):
-        super().__init__(message)
-        self.stats = stats
+    """Capture uses a link type the parser cannot dissect."""
 
 
 # --- anonymization ---

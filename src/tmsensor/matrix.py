@@ -44,13 +44,6 @@ class TrafficMatrix:
     key_id: bytes
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.packet_count == 0
-
-    def sorted_entries(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self.entries.items())
-
     def validate(self) -> None:
         """Check structural invariants; raises InvariantViolation."""
         if self.window_size < 1:
@@ -143,7 +136,7 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
             entries[cell] = entries.get(cell, 0) + count
         packets += m.packet_count
 
-    nonempty = [m for m in (first, *rest) if not m.is_empty]
+    nonempty = [m for m in (first, *rest) if m.packet_count]
     start = min((m.start_time_us for m in nonempty), default=0)
     end = max((m.end_time_us for m in nonempty), default=0)
     return TrafficMatrix(first.window_size, packets, start, end, first.key_id, entries)

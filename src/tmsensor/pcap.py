@@ -1,7 +1,7 @@
 """Classic-PCAP (libpcap) capture file parsing.
 
-Extracts one record per IP packet: timestamp, source/destination address,
-and lengths. Nothing past the IP address fields is decoded; ports, payloads,
+Extracts one record per IP packet: timestamp and source/destination
+address. Nothing past the IP address fields is decoded; ports, payloads,
 and fragments are deliberately ignored.
 
 Parsing is streaming: memory use is bounded by a single record buffer no
@@ -56,8 +56,6 @@ class PacketRecord(NamedTuple):
     ip_version: int  # 4 or 6
     src_ip: bytes  # 4 bytes for v4, 16 for v6
     dst_ip: bytes
-    wire_len: int  # original length on the wire
-    cap_len: int  # bytes actually captured
 
 
 @dataclass
@@ -75,7 +73,6 @@ class CaptureStats:
     skipped_non_ip: int = 0
     skipped_malformed: int = 0
     truncated_tail: bool = False
-    bytes_read: int = 0
 
 
 def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketRecord], CaptureStats]:
@@ -89,18 +86,16 @@ def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketRecord], CaptureStats]:
     UnsupportedLinkType for captures this parser cannot dissect. Truncation
     at end of file is not an error.
     """
-    stats = CaptureStats()
-    layout = _read_global_header(stream, stats)
+    layout = _read_global_header(stream)
     if layout is None:
         # File ends inside the global header: no records, flagged truncated.
-        return iter(()), stats
-    byte_order, nanos, linktype = layout
-    return _iter_records(stream, stats, byte_order, nanos, linktype), stats
+        return iter(()), CaptureStats(truncated_tail=True)
+    stats = CaptureStats()
+    return _iter_records(stream, stats, *layout), stats
 
 
-def _read_global_header(stream, stats):
+def _read_global_header(stream):
     magic = stream.read(4)
-    stats.bytes_read += len(magic)
     if magic == _PCAPNG_MAGIC:
         raise PcapngUnsupported(
             "pcapng input is not supported; convert to classic PCAP first"
@@ -110,15 +105,13 @@ def _read_global_header(stream, stats):
     byte_order, nanos = _MAGIC_BYTES[magic]
 
     rest = stream.read(GLOBAL_HEADER_LEN - 4)
-    stats.bytes_read += len(rest)
     if len(rest) < GLOBAL_HEADER_LEN - 4:
-        stats.truncated_tail = True
         return None
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, linktype = struct.unpack(
         byte_order + "HHiIII", rest
     )
     if linktype not in _SUPPORTED_LINKTYPES:
-        raise UnsupportedLinkType(f"link type {linktype} is not supported", stats)
+        raise UnsupportedLinkType(f"link type {linktype} is not supported")
     return byte_order, nanos, linktype
 
 
@@ -126,7 +119,6 @@ def _iter_records(stream, stats, byte_order, nanos, linktype):
     record_header = struct.Struct(byte_order + "IIII")
     while True:
         hdr = stream.read(RECORD_HEADER_LEN)
-        stats.bytes_read += len(hdr)
         if not hdr:
             return  # clean end of file
         if len(hdr) < RECORD_HEADER_LEN:
@@ -136,7 +128,6 @@ def _iter_records(stream, stats, byte_order, nanos, linktype):
 
         want = min(incl_len, MAX_RECORD_BUFFER)
         buf = stream.read(want) if want else b""
-        stats.bytes_read += len(buf)
         if len(buf) < want:
             stats.truncated_tail = True
             return
@@ -146,7 +137,6 @@ def _iter_records(stream, stats, byte_order, nanos, linktype):
             if not chunk:
                 stats.truncated_tail = True
                 return
-            stats.bytes_read += len(chunk)
             remaining -= len(chunk)
 
         stats.total_records += 1
@@ -165,7 +155,7 @@ def _iter_records(stream, stats, byte_order, nanos, linktype):
         version, src, dst = parsed
         stats.valid_ip_packets += 1
         timestamp_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanos else ts_frac)
-        yield PacketRecord(timestamp_us, version, src, dst, orig_len, incl_len)
+        yield PacketRecord(timestamp_us, version, src, dst)
 
 
 def _dissect(buf, linktype):

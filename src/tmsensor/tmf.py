@@ -28,7 +28,6 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 from .errors import (
     BadMagic,
     CorruptPayload,
-    InvariantViolation,
     KeyMismatch,
     UnknownScheme,
     UnknownVersion,
@@ -56,6 +55,9 @@ _MAX_TRIPLE_LEN = 30
 
 # Raw deflate emits at most 258 bytes per 2 bits of input.
 _MAX_INFLATE_RATIO = 1032
+
+# Largest single read of a block payload; payload_len comes from the file.
+_READ_CHUNK = 1 << 20
 
 
 class TmfBlockHeader(NamedTuple):
@@ -91,7 +93,7 @@ def write_tmf(
             raise WindowSizeMismatch("matrices in one file must share a window size")
         m.validate()
 
-        raw = _encode_entries(m.sorted_entries())
+        raw = _encode_entries(sorted(m.entries.items()))
         if compress:
             payload = _deflate(raw)
             flags = FLAG_DEFLATE
@@ -137,10 +139,19 @@ def _blocks(source: BinaryIO) -> Iterator[tuple[TmfBlockHeader, bytes]]:
             return
         header = _parse_header(raw, first)
         first = False
-        payload = source.read(header.payload_len)
-        if len(payload) < header.payload_len:
+        yield header, _read_payload(source, header.payload_len)
+
+
+def _read_payload(source: BinaryIO, size: int) -> bytes:
+    """Read size bytes in bounded chunks, so memory follows the bytes present."""
+    parts = []
+    while size > 0:
+        part = source.read(min(size, _READ_CHUNK))
+        if not part:
             raise CorruptPayload("file ends inside a block payload")
-        yield header, payload
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
 
 
 def _parse_header(header: bytes, first: bool) -> TmfBlockHeader:
@@ -185,14 +196,14 @@ def _decode_block(header: TmfBlockHeader, payload: bytes) -> TrafficMatrix:
         header.window_size, header.packet_count, header.start_time_us,
         header.end_time_us, header.key_id, entries,
     )
-    m.validate()  # raises InvariantViolation on count/time inconsistency
+    m.validate()  # the entry, count and time invariants
     return m
 
 
-def _encode_entries(sorted_entries) -> bytes:
+def _encode_entries(items) -> bytes:
     out = bytearray()
     prev_row = 0
-    for (row, col), count in sorted_entries:
+    for (row, col), count in items:
         _encode_uvarint(out, row - prev_row)
         _encode_uvarint(out, col)
         _encode_uvarint(out, count)
@@ -210,12 +221,8 @@ def _decode_entries(raw: bytes, entry_count: int) -> dict[tuple[int, int], int]:
         col, pos = _decode_uvarint(raw, pos)
         count, pos = _decode_uvarint(raw, pos)
         row += delta
-        if row >= 1 << 64:
-            raise CorruptPayload("row coordinate overflows 64 bits")
         if prev is not None and (row, col) <= prev:
             raise CorruptPayload("entries are not strictly increasing")
-        if count == 0:
-            raise InvariantViolation("entry with zero count")
         entries[(row, col)] = count
         prev = (row, col)
     if pos != len(raw):

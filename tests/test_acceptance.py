@@ -160,7 +160,7 @@ def test_criterion_3_oracle_equivalence():
         anonymized = []
         for i in range(n_packets):
             src, dst = rng.sample(hosts, 2)
-            packets.append(PacketRecord(i, 4, src, dst, 60, 60))
+            packets.append(PacketRecord(i, 4, src, dst))
             anonymized.append(
                 (anonymize_ip(KEY, 4, src), anonymize_ip(KEY, 4, dst))
             )

@@ -10,7 +10,6 @@ from tmsensor.analytics import (
     AnalysisReport,
     analyze,
     analyze_many,
-    format_report_json,
     format_report_text,
     report_to_dict,
 )
@@ -195,7 +194,7 @@ def test_text_format_field_names_and_histograms():
 
 def test_json_format_round_trips_exact_fields():
     report = analyze(matrix_of({(1, 2): 3, (5, 2): 2}))
-    doc = json.loads(format_report_json(report))
+    doc = json.loads(json.dumps(report_to_dict(report), indent=2))
     assert doc["valid_packets"] == 5
     assert doc["max_destination_fanin"] == 2
     assert doc["fanin_histogram"] == {"2": 1}  # JSON keys are strings

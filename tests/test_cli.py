@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import struct
 import tempfile
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,17 @@ def test_analyze_huge_entry_count_is_data_error(tmp_path, capsys):
     assert str(path) in err and "Traceback" not in err
 
 
+def test_analyze_huge_payload_len_is_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.tmf"
+    path.write_bytes(struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 0, 0, 0, b"\x0b" * 8, 1,
+        b"\x00" * 3, 0, (1 << 64) - 1,
+    ))
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_analyze_not_a_tmf_is_data_error(tmp_path, capsys):
     junk = tmp_path / "junk.tmf"
     junk.write_bytes(b"not a matrix file at all")
@@ -424,6 +437,29 @@ def test_config_validation_bounds(tmp_path, key_file, overrides):
     )
     with pytest.raises(ConfigError):
         cli.parse_config(path).validate()
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "sensor.cfg"
+    path.write_bytes(b"key_path = /k\xff\ninput_dir = /in\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        cli.parse_config(str(path))
+    assert cli.main(["watch", "--config", str(path), "--once"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_sample_config_parses_as_written(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    match = re.search(r"```ini\n(.*?)```", readme, re.S)
+    assert match is not None
+    cfg = cli.parse_config(write_config(tmp_path, match[1]))
+    assert cfg.key_path == "/etc/tmsensor/sensor.key"
+    assert cfg.input_dir == "/var/spool/captures"
+    assert cfg.output_dir == "/var/lib/tmsensor"
+    defaults = cli.SensorConfig()
+    for name in ("window_size", "quiescence_secs", "poll_interval_secs",
+                 "delete_after_convert", "prefix"):
+        assert getattr(cfg, name) == getattr(defaults, name)
 
 
 def test_config_missing_required_keys(tmp_path):

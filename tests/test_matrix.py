@@ -18,7 +18,7 @@ from tmsensor.pcap import PacketRecord
 
 
 def make_packet(src: bytes, dst: bytes, ts: int = 0) -> PacketRecord:
-    return PacketRecord(ts, 4, src, dst, 60, 60)
+    return PacketRecord(ts, 4, src, dst)
 
 
 def stream(pairs, ts_start=0):
@@ -246,5 +246,5 @@ def test_builder_output_validates_and_is_sorted_on_demand(fixed_key):
     ]
     for m in build_windows(stream(pairs), fixed_key, 128):
         m.validate()
-        cells = [cell for cell, _ in m.sorted_entries()]
+        cells = [cell for cell, _ in sorted(m.entries.items())]
         assert cells == sorted(cells)

@@ -19,6 +19,7 @@ from tmsensor.errors import (
     WindowSizeMismatch,
 )
 from tmsensor.matrix import TrafficMatrix
+from tmsensor import tmf
 from tmsensor.tmf import (
     HEADER_LEN,
     MAGIC,
@@ -276,6 +277,65 @@ def test_highly_compressible_block_is_not_rejected():
     data = write_bytes([m])
     assert 3 * n > 900 * (len(data) - HEADER_LEN)
     assert read_bytes(data) == [m]
+
+
+def empty_block_header(payload_len: int) -> bytes:
+    return struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 0, 0, 0, KEY_ID, 1, b"\x00" * 3,
+        0, payload_len,
+    )
+
+
+def test_payload_len_past_any_index_is_corrupt_payload():
+    data = empty_block_header((1 << 64) - 1)
+    with pytest.raises(CorruptPayload):
+        read_bytes(data)
+    with pytest.raises(CorruptPayload):
+        list(iter_block_headers(io.BytesIO(data)))
+
+
+class _RecordingReader(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.requests = []
+
+    def read(self, n=-1):
+        self.requests.append(n)
+        return super().read(n)
+
+
+def test_payload_is_read_in_bounded_chunks():
+    source = _RecordingReader(empty_block_header(1 << 40) + b"\x00" * (3 << 20))
+    with pytest.raises(CorruptPayload, match="ends inside a block payload"):
+        read_tmf(source)
+    assert len(source.requests) > 4  # the header, three full chunks, then EOF
+    assert all(0 <= n <= tmf._READ_CHUNK for n in source.requests)
+
+
+def test_payload_larger_than_one_chunk_reads_back():
+    rng = random.Random(11)
+    entries = {(rng.randrange(1 << 64), rng.randrange(1 << 64)): 1 for _ in range(60_000)}
+    m = TrafficMatrix(1 << 17, len(entries), 1, 2, KEY_ID, entries)
+    data = write_bytes([m], compress=False)
+    assert len(data) - HEADER_LEN > tmf._READ_CHUNK
+    assert read_bytes(data) == [m]
+
+
+@pytest.mark.parametrize(
+    "payload, packets",
+    [
+        # (2**64 - 1, 0, 1), then a row delta of 1: the second row is 2**64.
+        (b"\xff" * 9 + b"\x01" + b"\x00\x01" + b"\x01\x00\x01", 2),
+        (bytes.fromhex("050700") + bytes.fromhex("010701"), 1),  # zero count
+    ],
+)
+def test_decoded_entry_invariants_are_invariant_violations(payload, packets):
+    header = struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, packets, 1, 2, KEY_ID, 1,
+        b"\x00" * 3, 2, len(payload),
+    )
+    with pytest.raises(InvariantViolation):
+        read_bytes(header + payload)
 
 
 def test_truncated_payload_rejected():

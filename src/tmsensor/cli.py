@@ -21,7 +21,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .analytics import analyze_many, format_report_text, report_to_dict
 from .anon import AnonKey, generate_key, load_key, save_key
@@ -169,10 +169,11 @@ def convert_file(
 
     Truncated captures convert normally (with a warning on `log`); an empty
     capture produces no output file. Windows stream from the parser into a
-    temporary file, which is then hard-linked to the first free
+    temporary file, which is fsynced and then hard-linked to the first free
     <prefix>-<hour>-<seq>.tmf name: the link fails rather than replace an
     existing file, so no finished output is ever overwritten or partially
-    visible under its final name.
+    visible under its final name. The directory is fsynced last, so the
+    output is durable before the caller journals it.
     """
     if log is None:
         log = sys.stderr  # resolved per call so stream redirection works
@@ -194,6 +195,8 @@ def convert_file(
                     os.umask(umask)
                     os.fchmod(out.fileno(), 0o666 & ~umask)  # mkstemp forces 0600
                     tmf_bytes = write_tmf(itertools.chain([first], windows), out)
+                    out.flush()
+                    os.fsync(out.fileno())
                 for seq in itertools.count():
                     out_path = os.path.join(out_dir, tmf_filename(prefix, hour, seq))
                     try:
@@ -203,6 +206,11 @@ def convert_file(
                         continue
             finally:
                 os.unlink(tmp_path)
+            dir_fd = os.open(out_dir, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
     pcap_bytes = os.stat(pcap_path).st_size
 
     if stats.truncated_tail:
@@ -238,9 +246,7 @@ def cmd_genkey(args) -> int:
     try:
         fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     except FileExistsError:
-        print(f"error: {args.out} already exists; refusing to overwrite",
-              file=sys.stderr)
-        return EXIT_ENV
+        raise FileExistsError(f"{args.out} already exists; refusing to overwrite")
     with os.fdopen(fd, "wb") as f:
         save_key(key, f)
     print(f"key_file={args.out}")
@@ -263,14 +269,10 @@ def cmd_convert(args) -> int:
         args.prefix,
         delete_after=args.delete_after_convert,
     )
-    stats = summary["stats"]
     print(f"pcap={summary['pcap_path']}")
     print(f"pcap_bytes={summary['pcap_bytes']}")
-    print(f"total_records={stats.total_records}")
-    print(f"valid_ip_packets={stats.valid_ip_packets}")
-    print(f"skipped_non_ip={stats.skipped_non_ip}")
-    print(f"skipped_malformed={stats.skipped_malformed}")
-    print(f"truncated_tail={'true' if stats.truncated_tail else 'false'}")
+    for name, value in asdict(summary["stats"]).items():
+        print(f"{name}={str(value).lower()}")  # truncated_tail prints true/false
     print(f"windows={summary['window_count']}")
     if summary["tmf_path"] is None:
         print("0 packets, no matrix file written")
@@ -288,12 +290,8 @@ def cmd_analyze(args) -> int:
         try:
             with open(path, "rb") as f:
                 blocks = read_tmf(f)
-        except OSError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_ENV
-        except SensorError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        except (SensorError, OSError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc  # main picks the exit code
         for index, m in enumerate(blocks):
             matrices.append(m)
             origins.append((path, index))
@@ -334,11 +332,7 @@ def cmd_synth(args) -> int:
         start_time_us=args.start_time_us,
         mean_interarrival_us=args.mean_gap_us,
     )
-    try:
-        spec.validate()
-    except InvalidSynthSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec.validate()
     truth_path = args.ground_truth or args.out + ".truth"
     with open(args.out, "wb") as f:
         truth = synthesize(spec, f)
@@ -564,15 +558,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, EntropyUnavailable) as exc:
+    except (SensorError, OSError) as exc:  # the one map from error to exit code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENV
-    except SensorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidSynthSpec):
+            return EXIT_USAGE
+        if isinstance(exc, (ConfigError, EntropyUnavailable, OSError)):
+            return EXIT_ENV
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENV
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ DEFAULT_WINDOW_SIZE = 1 << 17  # 131,072 packets
 MIN_WINDOW_SIZE = 1 << 10
 MAX_WINDOW_SIZE = 1 << 24
 
+# Pseudonyms memoized across windows; past this many the memo is dropped at
+# the next window boundary, so its memory stays bounded on any capture.
+_ID_MEMO_LIMIT = 1 << 17
+
 
 @dataclass
 class TrafficMatrix:
@@ -110,6 +114,8 @@ def build_windows(
 
         if count == window_size:
             yield TrafficMatrix(window_size, count, t_min, t_max, key_id, entries)
+            if len(ids) > _ID_MEMO_LIMIT:
+                ids.clear()
             entries = {}
             count = 0
             t_min = t_max = 0

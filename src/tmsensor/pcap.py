@@ -164,49 +164,30 @@ def _dissect(buf, linktype):
     Returns None for malformed frames (too short to hold the indicated
     headers) and 0 for frames positively identified as non-IP.
     """
-    if linktype == LINKTYPE_ETHERNET:
-        ethertype_at = 12
-    elif linktype == LINKTYPE_LINUX_SLL:
-        ethertype_at = 14
-    else:  # raw IP: the record starts directly at the IP header
+    if linktype == LINKTYPE_RAW_IP:  # the record starts at the IP header
         if not buf:
             return None
-        nibble = buf[0] >> 4
-        if nibble == 4:
-            return _ip_fields(buf, 0, 4)
-        if nibble == 6:
-            return _ip_fields(buf, 0, 6)
-        return 0
+        off = 0
+        version = buf[0] >> 4
+    else:
+        off = 12 if linktype == LINKTYPE_ETHERNET else 14  # Linux SLL
+        while True:  # unwrap any number of 802.1Q tags
+            if off + 2 > len(buf):
+                return None
+            ethertype = (buf[off] << 8) | buf[off + 1]
+            off += 2
+            if ethertype != ETHERTYPE_VLAN:
+                break
+            off += 2  # tag control info, then the inner EtherType
+        version = (4 if ethertype == ETHERTYPE_IPV4
+                   else 6 if ethertype == ETHERTYPE_IPV6 else 0)
 
-    resolved = _resolve_ethertype(buf, ethertype_at)
-    if resolved is None:
-        return None
-    ethertype, ip_off = resolved
-    if ethertype == ETHERTYPE_IPV4:
-        return _ip_fields(buf, ip_off, 4)
-    if ethertype == ETHERTYPE_IPV6:
-        return _ip_fields(buf, ip_off, 6)
-    return 0
-
-
-def _resolve_ethertype(buf, pos):
-    """Read the EtherType at pos, unwrapping any number of 802.1Q tags."""
-    n = len(buf)
-    while True:
-        if pos + 2 > n:
-            return None
-        ethertype = (buf[pos] << 8) | buf[pos + 1]
-        if ethertype == ETHERTYPE_VLAN:
-            pos += 4  # skip tag control info to the inner EtherType
-            continue
-        return ethertype, pos + 2
-
-
-def _ip_fields(buf, off, version):
     if version == 4:
         if off + 20 > len(buf) or buf[off] >> 4 != 4:
             return None
         return 4, buf[off + 12 : off + 16], buf[off + 16 : off + 20]
-    if off + 40 > len(buf) or buf[off] >> 4 != 6:
-        return None
-    return 6, buf[off + 8 : off + 24], buf[off + 24 : off + 40]
+    if version == 6:
+        if off + 40 > len(buf) or buf[off] >> 4 != 6:
+            return None
+        return 6, buf[off + 8 : off + 24], buf[off + 24 : off + 40]
+    return 0

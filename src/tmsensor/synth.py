@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InvalidSynthSpec
 
-HOST_NETWORK = "10.0.0.0/16"  # hosts are drawn from this block, no duplicates
-_HOST_SPACE = 1 << 16
+_HOST_SPACE = 1 << 16  # hosts are distinct addresses in 10.0.0.0/16
 
 UDP_SRC_PORT = 40000
 UDP_DST_PORT = 40001

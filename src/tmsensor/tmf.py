@@ -21,6 +21,7 @@ skippable without decompression via header payload_len alone.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
@@ -204,59 +205,37 @@ def _encode_entries(items) -> bytes:
     out = bytearray()
     prev_row = 0
     for (row, col), count in items:
-        _encode_uvarint(out, row - prev_row)
-        _encode_uvarint(out, col)
-        _encode_uvarint(out, count)
+        for value in (row - prev_row, col, count):
+            while value > 0x7F:
+                out.append(value & 0x7F | 0x80)
+                value >>= 7
+            out.append(value)
         prev_row = row
     return bytes(out)
 
 
 def _decode_entries(raw: bytes, entry_count: int) -> dict[tuple[int, int], int]:
-    entries: dict[tuple[int, int], int] = {}
-    pos = 0
-    row = 0
-    prev = None
-    for _ in range(entry_count):
-        delta, pos = _decode_uvarint(raw, pos)
-        col, pos = _decode_uvarint(raw, pos)
-        count, pos = _decode_uvarint(raw, pos)
-        row += delta
-        if prev is not None and (row, col) <= prev:
-            raise CorruptPayload("entries are not strictly increasing")
-        entries[(row, col)] = count
-        prev = (row, col)
-    if pos != len(raw):
-        raise CorruptPayload(f"{len(raw) - pos} trailing payload bytes")
-    return entries
-
-
-def _encode_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
+    values = []
+    value = shift = 0
+    for byte in raw:
+        value |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+            if shift > 63:
+                raise CorruptPayload("varint longer than 10 bytes")
+        elif value >> 64:
+            raise CorruptPayload("varint exceeds 64 bits")
         else:
-            out.append(byte)
-            return
-
-
-def _decode_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise CorruptPayload("varint runs past end of payload")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if result >= 1 << 64:
-                raise CorruptPayload("varint exceeds 64 bits")
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptPayload("varint longer than 10 bytes")
+            values.append(value)
+            value = shift = 0
+    if shift or len(values) < 3 * entry_count:
+        raise CorruptPayload("varint runs past end of payload")
+    if len(values) > 3 * entry_count:
+        raise CorruptPayload("trailing bytes after the last entry")
+    cells = list(zip(itertools.accumulate(values[0::3]), values[1::3]))
+    if any(a >= b for a, b in itertools.pairwise(cells)):
+        raise CorruptPayload("entries are not strictly increasing")
+    return dict(zip(cells, values[2::3]))
 
 
 def _deflate(data: bytes) -> bytes:

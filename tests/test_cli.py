@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 import struct
 import tempfile
 import threading
@@ -178,6 +179,39 @@ def test_convert_file_streams_windows(tmp_path, fixed_key, small_pcap,
     with open(summary["tmf_path"], "rb") as f:
         assert len(read_tmf(f)) == 50
     assert most_live <= 3
+
+
+def test_convert_file_output_is_durable_before_it_returns(tmp_path, fixed_key,
+                                                         small_pcap, monkeypatch):
+    pcap_path, _, _ = small_pcap
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    calls = []
+    real_fsync, real_link, real_unlink = os.fsync, os.link, os.unlink
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(("fsync", kind))
+        real_fsync(fd)
+
+    def link(src, dst):
+        calls.append(("link", os.path.basename(dst)))
+        real_link(src, dst)
+
+    def unlink(path):
+        calls.append(("unlink", os.path.basename(path)[:6]))
+        real_unlink(path)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "link", link)
+    monkeypatch.setattr(os, "unlink", unlink)
+    summary = cli.convert_file(fixed_key, 1024, pcap_path, str(out_dir))
+    assert calls == [
+        ("fsync", "file"),
+        ("link", os.path.basename(summary["tmf_path"])),
+        ("unlink", ".part-"),
+        ("fsync", "dir"),
+    ]
 
 
 def test_convert_prefix_flag(tmp_path, key_file, small_pcap, capsys):

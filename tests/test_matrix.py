@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmsensor import matrix
 from tmsensor.anon import anonymize_ip
 from tmsensor.errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
 from tmsensor.matrix import (
@@ -115,6 +116,42 @@ def test_output_invariant_to_input_chunking(fixed_key):
     one_shot = list(build_windows(packets, fixed_key, 256))
     streamed = list(build_windows(chunked(packets, sizes), fixed_key, 256))
     assert one_shot == streamed
+
+
+def counting_anonymizer(monkeypatch):
+    """Replace the builder's HMAC with a cheap stand-in that logs each call."""
+    calls = []
+
+    def anonymize_ip(key, ip_version, ip):
+        calls.append(ip)
+        return int.from_bytes(ip, "big")
+
+    monkeypatch.setattr(matrix, "anonymize_ip", anonymize_ip)
+    return calls
+
+
+def test_addresses_are_hashed_once_across_windows(fixed_key, monkeypatch):
+    calls = counting_anonymizer(monkeypatch)
+    pairs = [((10, 0, 0, i % 7), (10, 0, 1, i % 5)) for i in range(1000)]
+    windows = list(build_windows(stream(pairs), fixed_key, 16))
+    assert len(windows) == 63
+    assert sorted(calls) == sorted({bytes(a) for pair in pairs for a in pair})
+
+
+def test_address_memo_is_dropped_past_its_bound(fixed_key, monkeypatch):
+    calls = counting_anonymizer(monkeypatch)
+    limit = matrix._ID_MEMO_LIMIT
+    first = make_packet(b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02")
+    # Two new addresses per packet until the memo passes its bound.
+    fresh = (
+        make_packet(i.to_bytes(4, "big"), (i + 1).to_bytes(4, "big"))
+        for i in range(1 << 24, (1 << 24) + limit + 2, 2)
+    )
+    packets = [first, *fresh, first]
+    list(build_windows(packets, fixed_key, 2))
+    # Only `first`'s two addresses repeat, and each is hashed again.
+    assert calls.count(first.src_ip) == calls.count(first.dst_ip) == 2
+    assert len(calls) == 2 * len(packets)
 
 
 def test_trailing_partial_window_emitted(fixed_key):

@@ -225,13 +225,16 @@ def test_trailing_payload_bytes_rejected():
 
 
 def test_varint_past_64_bits_rejected():
-    payload = b"\xff" * 10 + b"\x01"  # 11-byte varint
-    header = struct.pack(
-        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
-        1, len(payload),
-    )
-    with pytest.raises(CorruptPayload):
-        read_bytes(header + payload)
+    for payload in (
+        b"\xff" * 10 + b"\x01",  # 11-byte varint
+        b"\x80" * 9 + b"\x02" + b"\x00\x01",  # 10 bytes, but the row is 2**64
+    ):
+        header = struct.pack(
+            "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
+            1, len(payload),
+        )
+        with pytest.raises(CorruptPayload, match="varint"):
+            read_bytes(header + payload)
 
 
 def huge_entry_count_block() -> bytes:
@@ -343,6 +346,16 @@ def test_truncated_payload_rejected():
     data = write_bytes([m])
     with pytest.raises(CorruptPayload):
         read_bytes(data[:-1])
+    for payload, entry_count in (
+        (bytes.fromhex("050782"), 1),  # the count varint is cut at the end
+        (bytes.fromhex("808001870101"), 2),  # one 6-byte triple where 2 are due
+    ):
+        header = struct.pack(
+            "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
+            entry_count, len(payload),
+        )
+        with pytest.raises(CorruptPayload, match="runs past end"):
+            read_bytes(header + payload)
 
 
 def test_truncated_second_header_rejected():

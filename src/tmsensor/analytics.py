@@ -1,16 +1,17 @@
 """Network quantities computed from traffic matrices.
 
-All values are exact counts derived in a single pass over the entries plus
-a transposed accumulation, with memory proportional to the number of
-distinct sources and destinations. No statistical fitting happens here;
-reports are deterministic and directly comparable across windows.
+All values are exact counts: ``np.unique`` groups a matrix's cells by source
+and by destination, and per-host packets are summed in ``uint64``. No
+statistical fitting happens here; reports are deterministic and directly
+comparable across windows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Sequence
+
+import numpy as np
 
 from .matrix import TrafficMatrix, merge
 
@@ -38,36 +39,35 @@ class AnalysisReport:
 
 
 def analyze(m: TrafficMatrix) -> AnalysisReport:
-    """Compute the full report for one matrix."""
-    row_packets: dict[int, int] = {}
-    row_fanout: dict[int, int] = {}
-    col_packets: dict[int, int] = {}
-    col_fanin: dict[int, int] = {}
-    total = 0
-    max_link = 0
-
-    for (row, col), count in m.entries.items():
-        total += count
-        if count > max_link:
-            max_link = count
-        row_packets[row] = row_packets.get(row, 0) + count
-        row_fanout[row] = row_fanout.get(row, 0) + 1
-        col_packets[col] = col_packets.get(col, 0) + count
-        col_fanin[col] = col_fanin.get(col, 0) + 1
-
+    """Compute the full report for one (valid) matrix."""
+    src_packets, fanout = _per_host(m.rows, m.counts)
+    dst_packets, fanin = _per_host(m.cols, m.counts)
     return AnalysisReport(
-        valid_packets=total,
-        unique_links=len(m.entries),
-        unique_sources=len(row_packets),
-        unique_destinations=len(col_packets),
-        max_link_packets=max_link,
-        max_source_packets=max(row_packets.values(), default=0),
-        max_source_fanout=max(row_fanout.values(), default=0),
-        max_destination_packets=max(col_packets.values(), default=0),
-        max_destination_fanin=max(col_fanin.values(), default=0),
-        fanout_histogram=dict(Counter(row_fanout.values())),
-        fanin_histogram=dict(Counter(col_fanin.values())),
+        valid_packets=int(m.counts.sum()),
+        unique_links=len(m.counts),
+        unique_sources=len(fanout),
+        unique_destinations=len(fanin),
+        max_link_packets=int(m.counts.max(initial=0)),
+        max_source_packets=int(src_packets.max(initial=0)),
+        max_source_fanout=int(fanout.max(initial=0)),
+        max_destination_packets=int(dst_packets.max(initial=0)),
+        max_destination_fanin=int(fanin.max(initial=0)),
+        fanout_histogram=_histogram(fanout),
+        fanin_histogram=_histogram(fanin),
     )
+
+
+def _per_host(ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packets and degree (distinct peers) of each distinct host in ids."""
+    _, host, degree = np.unique(ids, return_inverse=True, return_counts=True)
+    packets = np.zeros(len(degree), np.uint64)
+    np.add.at(packets, host, counts)  # exact, unlike bincount's float weights
+    return packets, degree
+
+
+def _histogram(degree: np.ndarray) -> dict[int, int]:
+    values, hosts = np.unique(degree, return_counts=True)
+    return dict(zip(values.tolist(), hosts.tolist()))
 
 
 def analyze_many(

@@ -12,6 +12,7 @@ Diagnostics go to stderr; reports and data go to stdout or files.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import hashlib
 import itertools
 import os
@@ -172,8 +173,10 @@ def convert_file(
     temporary file, which is fsynced and then hard-linked to the first free
     <prefix>-<hour>-<seq>.tmf name: the link fails rather than replace an
     existing file, so no finished output is ever overwritten or partially
-    visible under its final name. The directory is fsynced last, so the
-    output is durable before the caller journals it.
+    visible under its final name. A name already holding the same bytes is
+    reused, so a capture converted again after a crash gets no second
+    output. The directory is fsynced last, so the output is durable before
+    the caller journals it.
     """
     if log is None:
         log = sys.stderr  # resolved per call so stream redirection works
@@ -203,7 +206,8 @@ def convert_file(
                         os.link(tmp_path, out_path)
                         break
                     except FileExistsError:
-                        continue
+                        if filecmp.cmp(tmp_path, out_path, shallow=False):
+                            break  # this output already exists, e.g. before a crash
             finally:
                 os.unlink(tmp_path)
             dir_fd = os.open(out_dir, os.O_RDONLY)

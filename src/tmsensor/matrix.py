@@ -6,6 +6,9 @@ to that anonymized destination within the window. The 64-bit pseudonyms are
 used directly as sparse coordinates; no dense dimension or remapping table
 exists (a remapping table would itself be a de-anonymization risk).
 
+A matrix holds coordinate (COO) arrays ``rows``, ``cols`` and ``counts``
+(``uint64``), strictly ordered by (row, col); every stage works on them whole.
+
 Matrices merge by element-wise sum. Merge is commutative and associative,
 so a stream split at window boundaries can be aggregated in parallel and
 reduced deterministically.
@@ -13,8 +16,11 @@ reduced deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .anon import KEY_ID_LEN, AnonKey, anonymize_ip
 from .errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
@@ -32,7 +38,7 @@ MAX_WINDOW_SIZE = 1 << 24
 _ID_MEMO_LIMIT = 1 << 17
 
 
-@dataclass
+@dataclass(eq=False)
 class TrafficMatrix:
     """One window's sparse (source, destination) -> packet count matrix.
 
@@ -46,7 +52,35 @@ class TrafficMatrix:
     start_time_us: int
     end_time_us: int
     key_id: bytes
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_entries(cls, window_size: int, packet_count: int, start_time_us: int,
+                     end_time_us: int, key_id: bytes, entries: Mapping):
+        """Build a matrix from a {(row, col): count} mapping in any order."""
+        try:
+            cells = np.fromiter(itertools.chain.from_iterable(entries), np.uint64,
+                                2 * len(entries))
+            counts = np.fromiter(entries.values(), np.uint64, len(entries))
+        except OverflowError:
+            raise InvariantViolation(
+                "coordinates and counts must fit in 64 bits") from None
+        rows, cols = cells[0::2], cells[1::2]
+        order = np.lexsort((cols, rows))
+        return cls(window_size, packet_count, start_time_us, end_time_us, key_id,
+                   rows[order], cols[order], counts[order])
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The cells as a {(row, col): count} dict, built on each access."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.counts.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is TrafficMatrix and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values()))
 
     def validate(self) -> None:
         """Check structural invariants; raises InvariantViolation."""
@@ -54,17 +88,19 @@ class TrafficMatrix:
             raise InvariantViolation("window_size must be >= 1")
         if len(self.key_id) != KEY_ID_LEN:
             raise InvariantViolation("key_id must be 8 bytes")
-        total = 0
-        for (row, col), count in self.entries.items():
-            if count < 1:
-                raise InvariantViolation(f"entry ({row},{col}) has count {count}")
-            if not (0 <= row < 1 << 64 and 0 <= col < 1 << 64):
-                raise InvariantViolation("coordinates must fit in 64 bits")
-            total += count
-        if total != self.packet_count:
-            raise InvariantViolation(
-                f"entry counts sum to {total}, packet_count says {self.packet_count}"
-            )
+        rows, cols, counts = self.rows, self.cols, self.counts
+        increasing = (rows[1:] > rows[:-1]) | (
+            (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+        if not increasing.all():
+            raise InvariantViolation("entries are not strictly increasing")
+        if not counts.all():
+            i = np.argmin(counts)  # the first zero
+            raise InvariantViolation(f"entry ({rows[i]},{cols[i]}) has count 0")
+        running = np.cumsum(counts)  # counts >= 1, so a wrap past 2**64 shows as a drop
+        total = int(running.max(initial=0))
+        if np.any(running[1:] < running[:-1]) or total != self.packet_count:
+            raise InvariantViolation(f"entry counts sum to {sum(counts.tolist())}, "
+                                     f"packet_count says {self.packet_count}")
         if self.packet_count == 0:
             if self.start_time_us != 0 or self.end_time_us != 0:
                 raise InvariantViolation("empty matrix must have zero time range")
@@ -80,7 +116,8 @@ def build_windows(
     Packets are taken in stream order; every ``window_size`` of them closes
     a matrix. The trailing partial window is emitted too (interrupted
     captures are the common case), flagged simply by its smaller
-    packet_count. Output is identical however the input iterable is chunked.
+    packet_count. Cells are counted in a dict until the window closes into
+    sorted arrays. Output is identical however the input is chunked.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -113,21 +150,28 @@ def build_windows(
         count += 1
 
         if count == window_size:
-            yield TrafficMatrix(window_size, count, t_min, t_max, key_id, entries)
+            m = TrafficMatrix.from_entries(window_size, count, t_min, t_max, key_id,
+                                           entries)
+            entries = {}  # so the dict and the arrays are not both held downstream
+            yield m
             if len(ids) > _ID_MEMO_LIMIT:
                 ids.clear()
-            entries = {}
             count = 0
             t_min = t_max = 0
 
     if count:
-        yield TrafficMatrix(window_size, count, t_min, t_max, key_id, entries)
+        m = TrafficMatrix.from_entries(window_size, count, t_min, t_max, key_id, entries)
+        del entries
+        yield m
 
 
 def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
-    """Element-wise sum of matrices built under the same key and window size."""
-    entries = dict(first.entries)
-    packets = first.packet_count
+    """Element-wise sum of matrices built under the same key and window size.
+
+    The summed packet_count must fit the file's 64-bit field. The counts of
+    each valid input sum to its packet_count, so no merged cell can wrap.
+    """
+    ms = (first, *rest)
     for m in rest:
         if m.key_id != first.key_id:
             raise KeyMismatch(
@@ -138,11 +182,20 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
             raise WindowSizeMismatch(
                 f"cannot merge window sizes {first.window_size} and {m.window_size}"
             )
-        for cell, count in m.entries.items():
-            entries[cell] = entries.get(cell, 0) + count
-        packets += m.packet_count
+    packets = sum(m.packet_count for m in ms)
+    if packets >> 64:
+        raise InvariantViolation(f"merged packet_count {packets} does not fit in 64 bits")
 
-    nonempty = [m for m in (first, *rest) if m.packet_count]
+    rows, cols, counts = (np.concatenate([getattr(m, name) for m in ms])
+                          for name in ("rows", "cols", "counts"))
+    order = np.lexsort((cols, rows))
+    rows, cols, counts = rows[order], cols[order], counts[order]
+    first_of_cell = np.ones(len(rows), bool)
+    first_of_cell[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first_of_cell)
+
+    nonempty = [m for m in ms if m.packet_count]
     start = min((m.start_time_us for m in nonempty), default=0)
     end = max((m.end_time_us for m in nonempty), default=0)
-    return TrafficMatrix(first.window_size, packets, start, end, first.key_id, entries)
+    return TrafficMatrix(first.window_size, packets, start, end, first.key_id,
+                         rows[starts], cols[starts], np.add.reduceat(counts, starts))

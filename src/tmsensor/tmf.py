@@ -21,14 +21,16 @@ skippable without decompression via header payload_len alone.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import zlib
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import (
     BadMagic,
     CorruptPayload,
+    InvariantViolation,
     KeyMismatch,
     UnknownScheme,
     UnknownVersion,
@@ -94,7 +96,7 @@ def write_tmf(
             raise WindowSizeMismatch("matrices in one file must share a window size")
         m.validate()
 
-        raw = _encode_entries(sorted(m.entries.items()))
+        raw = _encode_entries(m.rows, m.cols, m.counts)
         if compress:
             payload = _deflate(raw)
             flags = FLAG_DEFLATE
@@ -112,7 +114,7 @@ def write_tmf(
             m.key_id,
             ANON_SCHEME_HMAC_SHA256_64,
             b"\x00\x00\x00",
-            len(m.entries),
+            len(m.counts),
             len(payload),
         )
         sink.write(header)
@@ -192,50 +194,62 @@ def _decode_block(header: TmfBlockHeader, payload: bytes) -> TrafficMatrix:
         raw = _inflate(payload, header.entry_count * _MAX_TRIPLE_LEN)
     else:
         raw = payload
-    entries = _decode_entries(raw, header.entry_count)
     m = TrafficMatrix(
         header.window_size, header.packet_count, header.start_time_us,
-        header.end_time_us, header.key_id, entries,
+        header.end_time_us, header.key_id, *_decode_entries(raw, header.entry_count),
     )
     m.validate()  # the entry, count and time invariants
     return m
 
 
-def _encode_entries(items) -> bytes:
-    out = bytearray()
-    prev_row = 0
-    for (row, col), count in items:
-        for value in (row - prev_row, col, count):
-            while value > 0x7F:
-                out.append(value & 0x7F | 0x80)
-                value >>= 7
-            out.append(value)
-        prev_row = row
-    return bytes(out)
+def _encode_entries(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> bytes:
+    values = np.empty(3 * len(rows), np.uint64)
+    values[0::3] = rows
+    values[3::3] -= rows[:-1]  # row deltas; rows are sorted
+    values[1::3] = cols
+    values[2::3] = counts
+    # Row k of groups holds the ten 7-bit groups of value k, low group first;
+    # its varint is the groups up to the highest nonzero one.
+    groups = np.empty((len(values), 10), np.uint8)
+    sizes = np.ones(len(values), np.uint8)
+    for i in range(10):
+        groups[:, i] = values  # the low byte; its top bit is set just below
+        values >>= np.uint64(7)
+        sizes += values != 0
+    groups |= 0x80  # continuation bits, cleared again on each varint's last byte
+    groups[np.arange(len(groups)), sizes - 1] &= 0x7F
+    return groups[np.arange(10, dtype=np.uint8) < sizes[:, None]].tobytes()
 
 
-def _decode_entries(raw: bytes, entry_count: int) -> dict[tuple[int, int], int]:
-    values = []
-    value = shift = 0
-    for byte in raw:
-        value |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            if shift > 63:
-                raise CorruptPayload("varint longer than 10 bytes")
-        elif value >> 64:
-            raise CorruptPayload("varint exceeds 64 bits")
-        else:
-            values.append(value)
-            value = shift = 0
-    if shift or len(values) < 3 * entry_count:
+def _decode_entries(raw: bytes, entry_count: int) -> tuple[np.ndarray, ...]:
+    data = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(data < 0x80)  # the last byte of each varint
+    # Continuation bytes before each end; the last run is a varint cut at the end.
+    runs = np.diff(ends, prepend=-1, append=len(data)) - 1
+    # The first bad varint decides: 10 continuation bytes, or a 10th byte past bit 63.
+    over = np.append((runs[:-1] == 9) & (data[ends] > 1), False)
+    bad = np.flatnonzero((runs >= 10) | over)
+    if len(bad):
+        raise CorruptPayload("varint longer than 10 bytes" if runs[bad[0]] >= 10
+                             else "varint exceeds 64 bits")
+    if runs[-1] or len(ends) < 3 * entry_count:
         raise CorruptPayload("varint runs past end of payload")
-    if len(values) > 3 * entry_count:
+    if len(ends) > 3 * entry_count:
         raise CorruptPayload("trailing bytes after the last entry")
-    cells = list(zip(itertools.accumulate(values[0::3]), values[1::3]))
-    if any(a >= b for a, b in itertools.pairwise(cells)):
+    starts, sizes = ends - runs[:-1], runs[:-1] + 1
+    step = np.ones(len(data), np.int8)  # running sum: each byte's place in its varint
+    step[starts[1:]] = 1 - sizes[:-1]
+    step[:1] = 0
+    groups = (data & 0x7F).astype(np.uint64)
+    groups <<= (7 * np.cumsum(step, dtype=np.int8)).astype(np.uint64)
+    values = np.add.reduceat(groups, starts)
+    deltas, cols, counts = values[0::3], values[1::3], values[2::3]
+    if np.any((deltas[1:] == 0) & (cols[1:] <= cols[:-1])):
         raise CorruptPayload("entries are not strictly increasing")
-    return dict(zip(cells, values[2::3]))
+    rows = np.cumsum(deltas)
+    if np.any(rows[1:] < rows[:-1]):  # a row delta carried past 2**64
+        raise InvariantViolation("coordinates must fit in 64 bits")
+    return rows, cols, counts
 
 
 def _deflate(data: bytes) -> bytes:

@@ -108,7 +108,8 @@ def random_matrix(
         end = start + rng.randrange(1 << 20)
     else:
         start = end = 0
-    return TrafficMatrix(window_size, packet_count, start, end, key_id, entries)
+    return TrafficMatrix.from_entries(window_size, packet_count, start, end, key_id,
+                                      entries)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ KEY_ID = b"\x0c" * 8
 def matrix_of(entries, window=1024):
     total = sum(entries.values())
     times = (0, 0) if total == 0 else (100, 200)
-    return TrafficMatrix(window, total, *times, KEY_ID, entries)
+    return TrafficMatrix.from_entries(window, total, *times, KEY_ID, entries)
 
 
 def brute_force_report(pairs) -> AnalysisReport:

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, outputs, watch mode."""
 
+import dataclasses
 import json
 import os
 import re
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from tmsensor import cli
 from tmsensor.anon import load_key, save_key
 from tmsensor.errors import ConfigError
+from tmsensor.matrix import TrafficMatrix
 from tmsensor.synth import SynthSpec, synthesize
-from tmsensor.tmf import MAGIC, read_tmf
+from tmsensor.tmf import MAGIC, read_tmf, write_tmf
 
 from conftest import eth_ipv4_capture, pcap_header
 
@@ -127,13 +129,18 @@ def test_convert_reports_stats_and_writes_tmf(tmp_path, key_file, small_pcap,
 
 def test_convert_sequence_number_increments(tmp_path, key_file, small_pcap, capsys):
     pcap_path, _, spec = small_pcap
+    other_path = tmp_path / "other.pcap"
+    with open(other_path, "wb") as f:
+        synthesize(dataclasses.replace(spec, seed=22), f)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     hour = spec.start_time_us // 3_600_000_000
-    for seq in range(2):
-        assert cli.main(["convert", pcap_path, "--key", key_file,
+    for path, seq in ((pcap_path, 0), (other_path, 1), (pcap_path, 0)):
+        assert cli.main(["convert", str(path), "--key", key_file,
                          "--out-dir", str(out_dir)]) == 0
-        assert (out_dir / f"tm-{hour}-{seq:03d}.tmf").exists()
+        assert kv_lines(capsys.readouterr().out)["tmf"] == str(
+            out_dir / f"tm-{hour}-{seq:03d}.tmf")
+    assert len(list(out_dir.iterdir())) == 2  # the same capture again reuses -000
 
 
 def test_convert_never_overwrites_an_existing_output(tmp_path, key_file,
@@ -392,6 +399,22 @@ def test_analyze_huge_entry_count_is_data_error(tmp_path, capsys):
     assert str(path) in err and "Traceback" not in err
 
 
+def test_analyze_merged_packet_count_past_64_bits_is_data_error(tmp_path, capsys):
+    # Each file is valid; their merged packet count (2**64) is not.
+    m = TrafficMatrix.from_entries(16, 1 << 63, 1, 2, b"\x0b" * 8, {(1, 2): 1 << 63})
+    paths = []
+    for name in ("a.tmf", "b.tmf"):
+        with open(tmp_path / name, "wb") as f:
+            write_tmf([m], f)
+        paths.append(str(tmp_path / name))
+    assert cli.main(["analyze", paths[0]]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "64 bits" in captured.err and "Traceback" not in captured.err
+
+
 def test_analyze_huge_payload_len_is_data_error(tmp_path, capsys):
     path = tmp_path / "huge.tmf"
     path.write_bytes(struct.pack(
@@ -574,6 +597,42 @@ def test_watch_restart_is_idempotent(watch_setup, capsys):
     assert tmf_files(out_dir) == first
     journal = (out_dir / "tmsensor.journal").read_text().splitlines()
     assert len(journal) == 3
+
+
+def test_watch_restart_after_crash_before_journal_writes_no_duplicate(
+        watch_setup, fixed_key, monkeypatch, capsys):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    drop("cap.pcap", seed=5)
+
+    class Crash(Exception):
+        pass
+
+    def crash(path, digest, name):
+        raise Crash  # the output is linked and fsynced, the journal not yet written
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "append_journal", crash)
+        with pytest.raises(Crash):
+            cli.watch_loop(cli.parse_config(cfg_path), fixed_key, threading.Event(),
+                           once=True)
+    assert tmf_files(out_dir) == ["tm-0-000.tmf"]
+
+    assert cli.main(["watch", "--config", cfg_path, "--once"]) == 0
+    assert tmf_files(out_dir) == ["tm-0-000.tmf"]
+    journal = (out_dir / "tmsensor.journal").read_text().splitlines()
+    assert [line.split(" ", 1)[1] for line in journal] == ["cap.pcap"]
+
+
+def test_watch_identical_captures_share_one_output(watch_setup, capsys):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop("a.pcap", seed=6)
+    drop("b.pcap", seed=6)  # same bytes under another name
+    drop("c.pcap", seed=7)
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    assert tmf_files(out_dir) == ["tm-0-000.tmf", "tm-0-001.tmf"]
+    journal = (out_dir / "tmsensor.journal").read_text().splitlines()
+    assert sorted(line.split(" ", 1)[1] for line in journal) == ["a.pcap", "b.pcap",
+                                                                 "c.pcap"]
 
 
 def test_watch_skip_is_keyed_by_filename(watch_setup, capsys):

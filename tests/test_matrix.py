@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ def stream(pairs, ts_start=0):
 
 
 def empty_like(m: TrafficMatrix) -> TrafficMatrix:
-    return TrafficMatrix(m.window_size, 0, 0, 0, m.key_id, {})
+    return TrafficMatrix.from_entries(m.window_size, 0, 0, 0, m.key_id, {})
 
 
 def test_empty_stream_builds_nothing(fixed_key):
@@ -186,15 +187,15 @@ def test_merge_self_doubles_everything(fixed_key):
 
 
 def test_merge_rejects_different_keys():
-    a = TrafficMatrix(1024, 0, 0, 0, b"\x01" * 8, {})
-    b = TrafficMatrix(1024, 0, 0, 0, b"\x02" * 8, {})
+    a = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x01" * 8, {})
+    b = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x02" * 8, {})
     with pytest.raises(KeyMismatch):
         merge(a, b)
 
 
 def test_merge_rejects_different_window_sizes():
-    a = TrafficMatrix(1024, 0, 0, 0, b"\x01" * 8, {})
-    b = TrafficMatrix(2048, 0, 0, 0, b"\x01" * 8, {})
+    a = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x01" * 8, {})
+    b = TrafficMatrix.from_entries(2048, 0, 0, 0, b"\x01" * 8, {})
     with pytest.raises(WindowSizeMismatch):
         merge(a, b)
 
@@ -209,8 +210,9 @@ entries_strategy = st.dictionaries(
 def matrix_from(entries, start=1000):
     total = sum(entries.values())
     if total == 0:
-        return TrafficMatrix(512, 0, 0, 0, b"\x09" * 8, {})
-    return TrafficMatrix(512, total, start, start + 500, b"\x09" * 8, dict(entries))
+        return TrafficMatrix.from_entries(512, 0, 0, 0, b"\x09" * 8, {})
+    return TrafficMatrix.from_entries(512, total, start, start + 500, b"\x09" * 8,
+                                      dict(entries))
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,8 +240,8 @@ def test_merge_n_ary_equals_pairwise_fold(e1, e2, e3):
 @pytest.mark.parametrize(
     "third, error",
     [
-        (TrafficMatrix(512, 0, 0, 0, b"\x02" * 8, {}), KeyMismatch),
-        (TrafficMatrix(1024, 0, 0, 0, b"\x09" * 8, {}), WindowSizeMismatch),
+        (TrafficMatrix.from_entries(512, 0, 0, 0, b"\x02" * 8, {}), KeyMismatch),
+        (TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x09" * 8, {}), WindowSizeMismatch),
     ],
 )
 def test_merge_checks_every_argument(third, error):
@@ -261,18 +263,59 @@ def test_merge_conserves_mass_and_validates(e1, e2):
 @pytest.mark.parametrize(
     "bad",
     [
-        TrafficMatrix(0, 0, 0, 0, b"\x01" * 8, {}),               # window < 1
-        TrafficMatrix(8, 1, 0, 0, b"\x01" * 4, {(1, 2): 1}),      # short key_id
-        TrafficMatrix(8, 2, 0, 0, b"\x01" * 8, {(1, 2): 1}),      # count mismatch
-        TrafficMatrix(8, 1, 0, 0, b"\x01" * 8, {(1, 2): 0}),      # zero entry
-        TrafficMatrix(8, 1, 0, 0, b"\x01" * 8, {(1 << 64, 2): 1}),  # row overflow
-        TrafficMatrix(8, 1, 5, 4, b"\x01" * 8, {(1, 2): 1}),      # start > end
-        TrafficMatrix(8, 0, 1, 1, b"\x01" * 8, {}),               # empty with times
+        (0, 0, 0, 0, b"\x01" * 8, {}),               # window < 1
+        (8, 1, 0, 0, b"\x01" * 4, {(1, 2): 1}),      # short key_id
+        (8, 2, 0, 0, b"\x01" * 8, {(1, 2): 1}),      # count mismatch
+        (8, 1, 0, 0, b"\x01" * 8, {(1, 2): 0}),      # zero entry
+        (8, 1, 0, 0, b"\x01" * 8, {(1 << 64, 2): 1}),  # row overflow
+        (8, 1, 5, 4, b"\x01" * 8, {(1, 2): 1}),      # start > end
+        (8, 0, 1, 1, b"\x01" * 8, {}),               # empty with times
     ],
 )
 def test_validate_rejects_broken_matrices(bad):
     with pytest.raises(InvariantViolation):
-        bad.validate()
+        TrafficMatrix.from_entries(*bad).validate()
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([2, 1], [1, 1]),  # rows go backwards
+    ([1, 1], [5, 5]),  # the same cell twice
+    ([1, 1], [5, 4]),  # columns go backwards within a row
+])
+def test_validate_rejects_cells_out_of_order(rows, cols):
+    m = TrafficMatrix(8, 2, 0, 0, b"\x01" * 8, np.array(rows, np.uint64),
+                      np.array(cols, np.uint64), np.ones(2, np.uint64))
+    with pytest.raises(InvariantViolation, match="strictly increasing"):
+        m.validate()
+
+
+def test_validate_sees_counts_summing_past_64_bits():
+    m = TrafficMatrix.from_entries(8, 1, 0, 0, b"\x01" * 8, {(1, 2): (1 << 64) - 1,
+                                                             (1, 3): 2})
+    with pytest.raises(InvariantViolation, match="sum to 18446744073709551617"):
+        m.validate()
+
+
+@pytest.mark.parametrize("cell, count", [
+    ((1 << 64, 2), 1), ((2, 1 << 64), 1), ((-1, 2), 1), ((1, -2), 1),
+    ((1, 2), 1 << 64), ((1, 2), -1),
+])
+def test_from_entries_rejects_values_outside_64_bits(cell, count):
+    with pytest.raises(InvariantViolation):
+        TrafficMatrix.from_entries(8, 1, 0, 0, b"\x01" * 8, {cell: count})
+
+
+def test_merge_rejects_packet_count_past_64_bits():
+    m = TrafficMatrix.from_entries(8, 1 << 63, 1, 2, b"\x01" * 8, {(1, 2): 1 << 63})
+    m.validate()
+    with pytest.raises(InvariantViolation, match="64 bits"):
+        merge(m, m)
+    quarter = TrafficMatrix.from_entries(8, 1 << 62, 1, 2, b"\x01" * 8, {(1, 2): 1 << 62})
+    merged = merge(quarter, quarter, quarter)
+    merged.validate()
+    assert merged.entries == {(1, 2): 3 << 62}
+    with pytest.raises(InvariantViolation, match="64 bits"):
+        merge(merged, quarter)
 
 
 def test_builder_output_validates_and_is_sorted_on_demand(fixed_key):

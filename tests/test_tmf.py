@@ -62,7 +62,7 @@ def leb128_reference_decode(raw: bytes):
 
 
 def test_header_is_64_bytes_little_endian():
-    m = TrafficMatrix(2048, 3, 10, 20, KEY_ID, {(1, 2): 3})
+    m = TrafficMatrix.from_entries(2048, 3, 10, 20, KEY_ID, {(1, 2): 3})
     data = write_bytes([m])
     assert data[:4] == MAGIC == b"GTM1"
     (version, flags, window, packets, start, end, key_id, scheme, reserved,
@@ -81,7 +81,7 @@ def test_header_is_64_bytes_little_endian():
 
 
 def test_empty_matrix_block_is_header_plus_deflated_nothing():
-    m = TrafficMatrix(1024, 0, 0, 0, KEY_ID, {})
+    m = TrafficMatrix.from_entries(1024, 0, 0, 0, KEY_ID, {})
     data = write_bytes([m])
     payload = data[HEADER_LEN:]
     assert payload == zlib.compress(b"", 9)[2:-4]  # raw deflate of empty input
@@ -92,7 +92,7 @@ def test_empty_matrix_block_is_header_plus_deflated_nothing():
 
 def test_known_entries_produce_known_varint_payload():
     """{(5,7):2, (5,9):1, (8,7):4} → triples (5,7,2),(0,9,1),(3,7,4)."""
-    m = TrafficMatrix(16, 7, 1, 2, KEY_ID, {(5, 7): 2, (5, 9): 1, (8, 7): 4})
+    m = TrafficMatrix.from_entries(16, 7, 1, 2, KEY_ID, {(5, 7): 2, (5, 9): 1, (8, 7): 4})
     data = write_bytes([m], compress=False)
     payload = data[HEADER_LEN:]
     assert payload == bytes.fromhex("050702000901030704")
@@ -101,7 +101,7 @@ def test_known_entries_produce_known_varint_payload():
 
 def test_multibyte_varints_decode_with_reference_decoder():
     big = (1 << 63) + 12345
-    m = TrafficMatrix(16, 9, 0, 0, KEY_ID, {(big, 3): 9})
+    m = TrafficMatrix.from_entries(16, 9, 0, 0, KEY_ID, {(big, 3): 9})
     payload = write_bytes([m], compress=False)[HEADER_LEN:]
     assert leb128_reference_decode(payload) == [big, 3, 9]
     (decoded,) = read_bytes(write_bytes([m]))
@@ -133,8 +133,9 @@ def test_canonical_serialization():
 
 def test_entry_insertion_order_does_not_change_bytes():
     entries = {(9, 1): 2, (1, 5): 1, (1, 2): 4}
-    m1 = TrafficMatrix(64, 7, 5, 6, KEY_ID, dict(sorted(entries.items())))
-    m2 = TrafficMatrix(64, 7, 5, 6, KEY_ID, dict(reversed(sorted(entries.items()))))
+    m1 = TrafficMatrix.from_entries(64, 7, 5, 6, KEY_ID, dict(sorted(entries.items())))
+    m2 = TrafficMatrix.from_entries(64, 7, 5, 6, KEY_ID,
+                                    dict(reversed(sorted(entries.items()))))
     assert write_bytes([m1]) == write_bytes([m2])
 
 
@@ -159,7 +160,7 @@ def test_wrong_magic_raises_bad_magic():
 
 
 def test_mutated_packet_count_raises_invariant_violation():
-    m = TrafficMatrix(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
+    m = TrafficMatrix.from_entries(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
     data = bytearray(write_bytes([m]))
     # packet_count is the u64 at offset 12 (magic, version, flags, window).
     struct.pack_into("<Q", data, 12, 4)
@@ -168,35 +169,35 @@ def test_mutated_packet_count_raises_invariant_violation():
 
 
 def test_unknown_version_rejected():
-    data = bytearray(write_bytes([TrafficMatrix(16, 0, 0, 0, KEY_ID, {})]))
+    data = bytearray(write_bytes([TrafficMatrix.from_entries(16, 0, 0, 0, KEY_ID, {})]))
     struct.pack_into("<H", data, 4, 2)
     with pytest.raises(UnknownVersion):
         read_bytes(bytes(data))
 
 
 def test_unknown_scheme_rejected():
-    data = bytearray(write_bytes([TrafficMatrix(16, 0, 0, 0, KEY_ID, {})]))
+    data = bytearray(write_bytes([TrafficMatrix.from_entries(16, 0, 0, 0, KEY_ID, {})]))
     data[44] = 9  # anon_scheme byte, after the 8-byte key_id at 36..44
     with pytest.raises(UnknownScheme):
         read_bytes(bytes(data))
 
 
 def test_reserved_flag_bits_rejected():
-    data = bytearray(write_bytes([TrafficMatrix(16, 0, 0, 0, KEY_ID, {})]))
+    data = bytearray(write_bytes([TrafficMatrix.from_entries(16, 0, 0, 0, KEY_ID, {})]))
     struct.pack_into("<H", data, 6, 0x8001)
     with pytest.raises(CorruptPayload):
         read_bytes(bytes(data))
 
 
 def test_nonzero_reserved_bytes_rejected():
-    data = bytearray(write_bytes([TrafficMatrix(16, 0, 0, 0, KEY_ID, {})]))
+    data = bytearray(write_bytes([TrafficMatrix.from_entries(16, 0, 0, 0, KEY_ID, {})]))
     data[45] = 1  # first reserved byte
     with pytest.raises(CorruptPayload):
         read_bytes(bytes(data))
 
 
 def test_corrupt_deflate_stream_rejected():
-    m = TrafficMatrix(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
+    m = TrafficMatrix.from_entries(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
     data = bytearray(write_bytes([m]))
     data[HEADER_LEN] ^= 0xFF
     with pytest.raises((CorruptPayload, InvariantViolation)):
@@ -276,7 +277,8 @@ def test_uncompressed_entry_count_bound_is_exact():
 def test_highly_compressible_block_is_not_rejected():
     # Every triple is (1, 5, 1) after the first: deflate gets near its limit.
     n = 100_000
-    m = TrafficMatrix(1 << 17, n, 1, 2, KEY_ID, {(row, 5): 1 for row in range(n)})
+    m = TrafficMatrix.from_entries(1 << 17, n, 1, 2, KEY_ID,
+                                   {(row, 5): 1 for row in range(n)})
     data = write_bytes([m])
     assert 3 * n > 900 * (len(data) - HEADER_LEN)
     assert read_bytes(data) == [m]
@@ -318,7 +320,7 @@ def test_payload_is_read_in_bounded_chunks():
 def test_payload_larger_than_one_chunk_reads_back():
     rng = random.Random(11)
     entries = {(rng.randrange(1 << 64), rng.randrange(1 << 64)): 1 for _ in range(60_000)}
-    m = TrafficMatrix(1 << 17, len(entries), 1, 2, KEY_ID, entries)
+    m = TrafficMatrix.from_entries(1 << 17, len(entries), 1, 2, KEY_ID, entries)
     data = write_bytes([m], compress=False)
     assert len(data) - HEADER_LEN > tmf._READ_CHUNK
     assert read_bytes(data) == [m]
@@ -341,8 +343,19 @@ def test_decoded_entry_invariants_are_invariant_violations(payload, packets):
         read_bytes(header + payload)
 
 
+def test_counts_summing_past_64_bits_are_invariant_violation():
+    # Counts 2**64 - 1 and 2 sum to 2**64 + 1; a uint64 sum would wrap to 1.
+    payload = b"\x01\x02" + b"\xff" * 9 + b"\x01" + b"\x00\x03\x02"
+    header = struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 1, 1, 2, KEY_ID, 1,
+        b"\x00" * 3, 2, len(payload),
+    )
+    with pytest.raises(InvariantViolation, match="sum to 18446744073709551617"):
+        read_bytes(header + payload)
+
+
 def test_truncated_payload_rejected():
-    m = TrafficMatrix(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
+    m = TrafficMatrix.from_entries(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
     data = write_bytes([m])
     with pytest.raises(CorruptPayload):
         read_bytes(data[:-1])
@@ -359,14 +372,14 @@ def test_truncated_payload_rejected():
 
 
 def test_truncated_second_header_rejected():
-    ms = [TrafficMatrix(16, 1, 5, 5, KEY_ID, {(1, 2): 1})] * 2
+    ms = [TrafficMatrix.from_entries(16, 1, 5, 5, KEY_ID, {(1, 2): 1})] * 2
     data = write_bytes(ms)
     with pytest.raises(CorruptPayload):
         read_bytes(data[: len(data) - HEADER_LEN + 3 - len(data) // 2])
 
 
 def test_second_block_with_bad_magic_is_corruption_not_bad_magic():
-    ms = [TrafficMatrix(16, 1, 5, 5, KEY_ID, {(1, 2): 1})] * 2
+    ms = [TrafficMatrix.from_entries(16, 1, 5, 5, KEY_ID, {(1, 2): 1})] * 2
     data = bytearray(write_bytes(ms))
     second = len(data) - (len(data) - HEADER_LEN) // 2  # not exact; find magic
     second = data.index(MAGIC, 4)
@@ -376,21 +389,21 @@ def test_second_block_with_bad_magic_is_corruption_not_bad_magic():
 
 
 def test_write_rejects_mixed_keys():
-    a = TrafficMatrix(16, 0, 0, 0, b"\x01" * 8, {})
-    b = TrafficMatrix(16, 0, 0, 0, b"\x02" * 8, {})
+    a = TrafficMatrix.from_entries(16, 0, 0, 0, b"\x01" * 8, {})
+    b = TrafficMatrix.from_entries(16, 0, 0, 0, b"\x02" * 8, {})
     with pytest.raises(KeyMismatch):
         write_bytes([a, b])
 
 
 def test_write_rejects_mixed_window_sizes():
-    a = TrafficMatrix(16, 0, 0, 0, KEY_ID, {})
-    b = TrafficMatrix(32, 0, 0, 0, KEY_ID, {})
+    a = TrafficMatrix.from_entries(16, 0, 0, 0, KEY_ID, {})
+    b = TrafficMatrix.from_entries(32, 0, 0, 0, KEY_ID, {})
     with pytest.raises(WindowSizeMismatch):
         write_bytes([a, b])
 
 
 def test_write_validates_matrices():
-    broken = TrafficMatrix(16, 5, 0, 0, KEY_ID, {(1, 2): 3})
+    broken = TrafficMatrix.from_entries(16, 5, 0, 0, KEY_ID, {(1, 2): 3})
     with pytest.raises(InvariantViolation):
         write_bytes([broken])
 
@@ -420,7 +433,7 @@ def test_round_trip_property(entry_dicts, compress):
     for entries in entry_dicts:
         total = sum(entries.values())
         times = (0, 0) if total == 0 else (17, 94)
-        ms.append(TrafficMatrix(512, total, *times, KEY_ID, entries))
+        ms.append(TrafficMatrix.from_entries(512, total, *times, KEY_ID, entries))
     data = write_bytes(ms, compress=compress)
     assert read_bytes(data) == ms
     assert write_bytes(read_bytes(data), compress=compress) == data

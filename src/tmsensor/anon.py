@@ -16,9 +16,9 @@ revealing it.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EntropyUnavailable, KeyFileError, LengthMismatch
 
@@ -53,9 +53,16 @@ class AnonKey:
         """Public fingerprint: first 8 bytes of SHA-256 of the key."""
         return hashlib.sha256(self.key_bytes).digest()[:KEY_ID_LEN]
 
+    @cached_property
+    def _hmac_pads(self):
+        """SHA-256 states after the HMAC inner and outer key pads (RFC 2104)."""
+        block = self.key_bytes.ljust(hashlib.sha256().block_size, b"\x00")
+        return (hashlib.sha256(bytes(b ^ 0x36 for b in block)),
+                hashlib.sha256(bytes(b ^ 0x5C for b in block)))
 
-def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
-    """Map an IP address to its 64-bit pseudonym under the given key."""
+
+def check_address(ip_version: int, ip: bytes) -> None:
+    """Raise unless ``ip`` is an address of IP version ``ip_version``."""
     try:
         expected = _ADDR_LEN[ip_version]
     except KeyError:
@@ -64,8 +71,17 @@ def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
         raise LengthMismatch(
             f"IPv{ip_version} address must be {expected} bytes, got {len(ip)}"
         )
-    digest = hmac.new(key.key_bytes, _TAG[ip_version] + bytes(ip), hashlib.sha256)
-    return int.from_bytes(digest.digest()[:8], "big")
+
+
+def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
+    """Map an IP address to its 64-bit pseudonym under the given key."""
+    if len(ip) != _ADDR_LEN.get(ip_version):
+        check_address(ip_version, ip)
+    inner_pad, outer_pad = key._hmac_pads
+    inner, outer = inner_pad.copy(), outer_pad.copy()
+    inner.update(_TAG[ip_version] + ip)
+    outer.update(inner.digest())
+    return int.from_bytes(outer.digest()[:8], "big")
 
 
 def generate_key() -> AnonKey:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .anon import KEY_ID_LEN, AnonKey, anonymize_ip
+from .anon import KEY_ID_LEN, AnonKey, anonymize_ip, check_address
 from .errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
-from .pcap import PacketRecord
+from .pcap import (MAX_RECORD_BUFFER, RECORD_HEADER_LEN, PacketBatch, PacketRecord,
+                   PacketRecords)
 
 DEFAULT_WINDOW_SIZE = 1 << 17  # 131,072 packets
 
@@ -67,15 +68,13 @@ class TrafficMatrix:
         except OverflowError:
             raise InvariantViolation(
                 "coordinates and counts must fit in 64 bits") from None
-        rows, cols = cells[0::2], cells[1::2]
-        order = np.lexsort((cols, rows))
         return cls(window_size, packet_count, start_time_us, end_time_us, key_id,
-                   rows[order], cols[order], counts[order])
+                   *_sum_cells([cells[0::2], cells[1::2], counts]))
 
     @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        """The cells as a {(row, col): count} dict, built on each access."""
-        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.counts.tolist()))
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        """The cells as a read-only {(row, col): count} view of the arrays."""
+        return _CellView(self)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is TrafficMatrix and all(
@@ -108,6 +107,37 @@ class TrafficMatrix:
             raise InvariantViolation("start_time_us exceeds end_time_us")
 
 
+class _CellView(Mapping):
+    """Read-only {(row, col): count} mapping over a matrix's sorted arrays."""
+
+    def __init__(self, m: TrafficMatrix):
+        self._m = m
+
+    def __len__(self) -> int:
+        return len(self._m.rows)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._m.rows.tolist(), self._m.cols.tolist())
+
+    def __getitem__(self, cell: tuple[int, int]) -> int:
+        row, col = cell
+        if 0 <= row < 1 << 64 and 0 <= col < 1 << 64:
+            rows, cols = self._m.rows, self._m.cols
+            lo, hi = (int(np.searchsorted(rows, np.uint64(row), side))
+                      for side in ("left", "right"))
+            i = lo + int(np.searchsorted(cols[lo:hi], np.uint64(col)))
+            if i < hi and cols[i] == col:
+                return int(self._m.counts[i])
+        raise KeyError(cell)
+
+    # One pass over the arrays, not a search per cell; Mapping's == uses items.
+    def items(self):
+        return dict(zip(self, self._m.counts.tolist())).items()
+
+    def values(self):
+        return self.items().mapping.values()
+
+
 def build_windows(
     packets: Iterable[PacketRecord], key: AnonKey, window_size: int = DEFAULT_WINDOW_SIZE
 ) -> Iterator[TrafficMatrix]:
@@ -116,53 +146,172 @@ def build_windows(
     Packets are taken in stream order; every ``window_size`` of them closes
     a matrix. The trailing partial window is emitted too (interrupted
     captures are the common case), flagged simply by its smaller
-    packet_count. Cells are counted in a dict until the window closes into
-    sorted arrays. Output is identical however the input is chunked.
+    packet_count. Output is identical however the input is chunked.
+
+    The parser's batches are read directly; any other record iterable is
+    gathered into the same columns first. Each batch is sliced at window
+    boundaries, and each slice's cells are counted with a sort and folded
+    into the open window, so memory holds the window's distinct cells and
+    one batch, never a per-packet array of a whole window.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
+    batches = packets.batches if isinstance(packets, PacketRecords) else _gather(packets)
     key_id = key.key_id
-    ids: dict[tuple[int, bytes], int] = {}
-
-    entries: dict[tuple[int, int], int] = {}
-    count = 0
+    memos = (_Memo(4, ">u4"), _Memo(6, "V16"))
+    # The open window's cells: the folded ones, then one part per slice since
+    # the last fold, which holds `loose` cells.
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    count = loose = 0
     t_min = t_max = 0
 
-    for pkt in packets:
-        src_key = (pkt.ip_version, pkt.src_ip)
-        sid = ids.get(src_key)
-        if sid is None:
-            sid = ids[src_key] = anonymize_ip(key, pkt.ip_version, pkt.src_ip)
-        dst_key = (pkt.ip_version, pkt.dst_ip)
-        did = ids.get(dst_key)
-        if did is None:
-            did = ids[dst_key] = anonymize_ip(key, pkt.ip_version, pkt.dst_ip)
+    for batch in batches:
+        n = len(batch.timestamp_us)
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + window_size - count)
+            ts = batch.timestamp_us[lo:hi]
+            t_min = min(t_min, int(ts.min())) if count else int(ts.min())
+            t_max = max(t_max, int(ts.max())) if count else int(ts.max())
+            sid, did = _pseudonyms(key, memos, batch.ip_version[lo:hi],
+                                   batch.src_ip[lo:hi], batch.dst_ip[lo:hi])
+            cells = _sum_cells([sid, did, np.ones(hi - lo, np.uint64)])
+            if parts:
+                loose += len(cells[0])
+            parts.append(cells)
+            if loose > len(parts[0][0]):  # so parts hold at most twice the folded cells
+                _fold(parts)
+                loose = 0
+            count += hi - lo
+            lo = hi
 
-        cell = (sid, did)
-        entries[cell] = entries.get(cell, 0) + 1
-        ts = pkt.timestamp_us
-        if count == 0:
-            t_min = t_max = ts
-        elif ts < t_min:
-            t_min = ts
-        elif ts > t_max:
-            t_max = ts
-        count += 1
-
-        if count == window_size:
-            m = TrafficMatrix.from_entries(window_size, count, t_min, t_max, key_id,
-                                           entries)
-            entries = {}  # so the dict and the arrays are not both held downstream
-            yield m
-            if len(ids) > _ID_MEMO_LIMIT:
-                ids.clear()
-            count = 0
-            t_min = t_max = 0
+            if count == window_size:
+                yield _close(window_size, count, t_min, t_max, key_id, parts)
+                if sum(map(len, memos)) > _ID_MEMO_LIMIT:
+                    for memo in memos:
+                        memo.clear()
+                count = loose = 0
 
     if count:
-        m = TrafficMatrix.from_entries(window_size, count, t_min, t_max, key_id, entries)
-        del entries
-        yield m
+        yield _close(window_size, count, t_min, t_max, key_id, parts)
+
+
+def _fold(parts):
+    """Sum a window's cell parts into one, in place."""
+    if len(parts) > 1:
+        columns = [np.concatenate(column) for column in zip(*parts)]
+        parts.clear()
+        parts.append(_sum_cells(columns))
+
+
+def _close(window_size, count, t_min, t_max, key_id, parts):
+    """The open window as a matrix; empties ``parts``, so that the window's
+    cells are not held twice while the caller uses the matrix."""
+    _fold(parts)
+    return TrafficMatrix(window_size, count, t_min, t_max, key_id, *parts.pop())
+
+
+def _gather(records: Iterable[PacketRecord]) -> Iterator[PacketBatch]:
+    """Records as PacketBatch columns, at most as many per batch as one
+    parser chunk can hold."""
+    it = iter(records)
+    while block := list(itertools.islice(it, MAX_RECORD_BUFFER // RECORD_HEADER_LEN)):
+        ts, versions, srcs, dsts = zip(*block)
+        for version, src, dst in zip(versions, srcs, dsts):
+            check_address(version, src)
+            check_address(version, dst)
+        yield PacketBatch(np.array(ts, np.int64), np.array(versions, np.uint8),
+                          *(np.frombuffer(b"".join(bytes(a).ljust(16, b"\x00") for a in addrs),
+                                          np.uint8).reshape(-1, 16)
+                            for addrs in (srcs, dsts)))
+
+
+class _Memo:
+    """Pseudonyms of the addresses of one IP version, in sorted arrays.
+
+    New pseudonyms go to a small sorted run that is folded into the large
+    one when it grows past about the square root of the large one's size
+    times the misses per lookup, so neither lookups nor inserts cost a pass
+    over the whole memo each time.
+    """
+
+    def __init__(self, version: int, dtype: str):
+        self.version, self.dtype = version, np.dtype(dtype)  # an address's bytes as one key
+        self.clear()
+
+    def clear(self) -> None:
+        empty = (np.empty(0, self.dtype), np.empty(0, np.uint64))
+        self.runs = [empty, empty]
+
+    def __len__(self) -> int:
+        return sum(len(keys) for keys, _ in self.runs)
+
+    def pseudonyms(self, key: AnonKey, addrs: np.ndarray) -> np.ndarray:
+        """The pseudonyms of distinct, sorted addresses; misses are hashed."""
+        ids = np.empty(len(addrs), np.uint64)
+        found = np.zeros(len(addrs), bool)
+        for keys, values in self.runs:
+            if len(keys):
+                at = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
+                hit = keys[at] == addrs
+                ids[hit] = values[at[hit]]
+                found |= hit
+        miss = np.flatnonzero(~found)
+        if len(miss):
+            new_keys = addrs[miss]
+            new_ids = np.fromiter(
+                map(anonymize_ip, itertools.repeat(key), itertools.repeat(self.version),
+                    new_keys.view(f"V{self.dtype.itemsize}").tolist()), np.uint64, len(miss))
+            ids[miss] = new_ids
+            (big_keys, big_ids), recent = self.runs
+            recent = _insert_sorted(recent, new_keys, new_ids)
+            if len(recent[0]) ** 2 > len(big_keys) * len(miss):
+                self.runs = [_insert_sorted((big_keys, big_ids), *recent),
+                             (new_keys[:0], new_ids[:0])]
+            else:
+                self.runs[1] = recent
+        return ids
+
+
+def _insert_sorted(run, keys, values):
+    """Merge sorted, absent ``keys`` and their ``values`` into a sorted run."""
+    at = np.searchsorted(run[0], keys) + np.arange(len(keys))  # places in the result
+    kept = np.ones(len(run[0]) + len(keys), bool)
+    kept[at] = False
+    merged = []
+    for old, new in zip(run, (keys, values)):
+        out = np.empty(len(kept), old.dtype)
+        out[at] = new
+        out[kept] = old
+        merged.append(out)
+    return tuple(merged)
+
+
+def _pseudonyms(key, memos, versions, src, dst):
+    """The pseudonyms of one slice's source and destination addresses."""
+    n = len(versions)
+    addrs, versions = np.concatenate((src, dst)), np.concatenate((versions, versions))
+    ids = np.empty(2 * n, np.uint64)
+    for memo in memos:
+        sel = versions == memo.version
+        if sel.any():
+            keys = addrs[sel, :memo.dtype.itemsize].view(memo.dtype).ravel()
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            ids[sel] = memo.pseudonyms(key, distinct)[inverse]
+    return ids[:n], ids[n:]
+
+
+def _sum_cells(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort cells given as [rows, cols, counts] by (row, col) and add up the
+    counts of equal cells. Empties ``columns``, so that the unsorted arrays
+    can be freed before the sums are taken."""
+    order = np.lexsort((columns[1], columns[0]))
+    rows, cols, counts = (column[order] for column in columns)
+    columns.clear()
+    first_of_cell = np.ones(len(rows), bool)
+    first_of_cell[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first_of_cell)
+    return rows[starts], cols[starts], np.add.reduceat(counts, starts)
 
 
 def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
@@ -186,16 +335,9 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
     if packets >> 64:
         raise InvariantViolation(f"merged packet_count {packets} does not fit in 64 bits")
 
-    rows, cols, counts = (np.concatenate([getattr(m, name) for m in ms])
-                          for name in ("rows", "cols", "counts"))
-    order = np.lexsort((cols, rows))
-    rows, cols, counts = rows[order], cols[order], counts[order]
-    first_of_cell = np.ones(len(rows), bool)
-    first_of_cell[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(first_of_cell)
-
+    cells = _sum_cells([np.concatenate([getattr(m, name) for m in ms])
+                        for name in ("rows", "cols", "counts")])
     nonempty = [m for m in ms if m.packet_count]
     start = min((m.start_time_us for m in nonempty), default=0)
     end = max((m.end_time_us for m in nonempty), default=0)
-    return TrafficMatrix(first.window_size, packets, start, end, first.key_id,
-                         rows[starts], cols[starts], np.add.reduceat(counts, starts))
+    return TrafficMatrix(first.window_size, packets, start, end, first.key_id, *cells)

@@ -4,17 +4,27 @@ Extracts one record per IP packet: timestamp and source/destination
 address. Nothing past the IP address fields is decoded; ports, payloads,
 and fragments are deliberately ignored.
 
-Parsing is streaming: memory use is bounded by a single record buffer no
-matter how large the file is, and a capture cut off mid-record (the normal
-outcome of an interrupted mirror port) is reported through
-``CaptureStats.truncated_tail`` instead of an error.
+Parsing is streaming and batched. The stream is read in chunks of
+``MAX_RECORD_BUFFER`` bytes, and the records that end in a chunk become one
+``PacketBatch`` of numpy columns: the record headers are walked one by one,
+the addresses of plain Ethernet, Linux SLL and raw IPv4/IPv6 frames are
+gathered for the whole batch at once, and every other frame goes through
+``_dissect``. Memory use is bounded by one chunk plus one carried record (the
+one cut by the chunk edge; past ``MAX_RECORD_BUFFER`` body bytes a record is
+drained, not kept) no matter how large the file is. ``CaptureStats`` advance
+one chunk at a time. A capture cut off mid-record (the normal outcome of an
+interrupted mirror port) is reported through ``CaptureStats.truncated_tail``
+instead of an error.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import BadMagic, PcapngUnsupported, UnsupportedLinkType
 
@@ -42,11 +52,17 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
 ETHERTYPE_VLAN = 0x8100
 
-# Cap on the per-record parse buffer. Address fields sit within the first
-# few dozen bytes of any supported frame; bytes past the cap are drained in
-# chunks so a corrupt incl_len cannot inflate memory use.
+# The read chunk, and the cap on the bytes of one record kept for parsing.
+# Address fields sit within the first few dozen bytes of any supported
+# frame; bytes past the cap are drained in chunks so a corrupt incl_len
+# cannot inflate memory use.
 MAX_RECORD_BUFFER = 64 * 1024
-_DRAIN_CHUNK = 64 * 1024
+
+# Offset of the IP header in a frame without 802.1Q tags, by link type.
+_IP_OFFSET = {LINKTYPE_ETHERNET: 14, LINKTYPE_LINUX_SLL: 16, LINKTYPE_RAW_IP: 0}
+# IP version -> (source address offset in the IP header, address length,
+# IP header length); the destination follows the source.
+_ADDRESS_LAYOUT = {4: (12, 4, 20), 6: (8, 16, 40)}
 
 
 class PacketRecord(NamedTuple):
@@ -56,6 +72,45 @@ class PacketRecord(NamedTuple):
     ip_version: int  # 4 or 6
     src_ip: bytes  # 4 bytes for v4, 16 for v6
     dst_ip: bytes
+
+
+class PacketBatch(NamedTuple):
+    """Consecutive parsed IP packets as columns, in stream order.
+
+    An address row is 16 bytes; an IPv4 address is its first 4, and the
+    bytes after those are unspecified.
+    """
+
+    timestamp_us: np.ndarray  # int64
+    ip_version: np.ndarray  # uint8, 4 or 6
+    src_ip: np.ndarray  # (n, 16) uint8
+    dst_ip: np.ndarray
+
+    def records(self) -> Iterator[PacketRecord]:
+        src, dst = self.src_ip.tobytes(), self.dst_ip.tobytes()
+        for i, (ts, version) in enumerate(zip(self.timestamp_us.tolist(),
+                                              self.ip_version.tolist())):
+            at = 16 * i
+            end = at + _ADDRESS_LAYOUT[version][1]
+            yield PacketRecord(ts, version, src[at:end], dst[at:end])
+
+
+class PacketRecords:
+    """Iterator over a capture's PacketRecords, parsed one chunk at a time.
+
+    ``batches`` yields the same packets as PacketBatch columns; a consumer
+    reads one or the other, not both.
+    """
+
+    def __init__(self, batches: Iterator[PacketBatch]):
+        self.batches = batches
+        self._records = itertools.chain.from_iterable(map(PacketBatch.records, batches))
+
+    def __iter__(self) -> PacketRecords:
+        return self
+
+    def __next__(self) -> PacketRecord:
+        return next(self._records)
 
 
 @dataclass
@@ -75,12 +130,13 @@ class CaptureStats:
     truncated_tail: bool = False
 
 
-def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketRecord], CaptureStats]:
+def parse_pcap(stream: BinaryIO) -> tuple[PacketRecords, CaptureStats]:
     """Open a classic-PCAP byte stream for streaming record extraction.
 
     The global header is read and validated immediately; records are decoded
-    lazily as the returned iterator advances. The stats object is updated in
-    place and is final once the iterator is exhausted.
+    lazily, one chunk of the stream at a time, as the returned iterator
+    advances. The stats object is updated in place per chunk and is final
+    once the iterator is exhausted.
 
     Raises BadMagic for non-PCAP input (PcapngUnsupported for pcapng) and
     UnsupportedLinkType for captures this parser cannot dissect. Truncation
@@ -89,9 +145,9 @@ def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketRecord], CaptureStats]:
     layout = _read_global_header(stream)
     if layout is None:
         # File ends inside the global header: no records, flagged truncated.
-        return iter(()), CaptureStats(truncated_tail=True)
+        return PacketRecords(iter(())), CaptureStats(truncated_tail=True)
     stats = CaptureStats()
-    return _iter_records(stream, stats, *layout), stats
+    return PacketRecords(_iter_batches(stream, stats, *layout)), stats
 
 
 def _read_global_header(stream):
@@ -115,51 +171,100 @@ def _read_global_header(stream):
     return byte_order, nanos, linktype
 
 
-def _iter_records(stream, stats, byte_order, nanos, linktype):
-    record_header = struct.Struct(byte_order + "IIII")
+def _iter_batches(stream, stats, byte_order, nanos, linktype):
+    incl_len_at = struct.Struct(byte_order + "I").unpack_from
+    carry = b""  # the start of a record cut by the last chunk's edge
     while True:
-        hdr = stream.read(RECORD_HEADER_LEN)
-        if not hdr:
-            return  # clean end of file
-        if len(hdr) < RECORD_HEADER_LEN:
+        chunk = stream.read(MAX_RECORD_BUFFER)
+        if not chunk:
+            stats.truncated_tail = bool(carry)
+            return
+        data = carry + chunk
+        size = len(data)
+        starts = []
+        record_at = starts.append
+        off = 0
+        while off + RECORD_HEADER_LEN <= size:
+            end = off + RECORD_HEADER_LEN + incl_len_at(data, off + 8)[0]
+            if end > size:
+                break
+            record_at(off)
+            off = end
+        carry = data[off:]
+
+        truncated = False
+        if len(carry) >= RECORD_HEADER_LEN + MAX_RECORD_BUFFER:
+            # Parsing reads only the first MAX_RECORD_BUFFER bytes of this
+            # record, all in hand: drain the rest without keeping it.
+            remaining = RECORD_HEADER_LEN + incl_len_at(carry, 8)[0] - len(carry)
+            while remaining > 0 and (part := stream.read(min(remaining, MAX_RECORD_BUFFER))):
+                remaining -= len(part)
+            truncated = remaining > 0
+            if not truncated:
+                starts.append(off)
+                carry = b""
+        if starts:
+            yield _parse_records(data, starts, stats, byte_order, nanos, linktype)
+        if truncated:
             stats.truncated_tail = True
             return
-        ts_sec, ts_frac, incl_len, orig_len = record_header.unpack(hdr)
 
-        want = min(incl_len, MAX_RECORD_BUFFER)
-        buf = stream.read(want) if want else b""
-        if len(buf) < want:
-            stats.truncated_tail = True
-            return
-        remaining = incl_len - want
-        while remaining > 0:
-            chunk = stream.read(min(remaining, _DRAIN_CHUNK))
-            if not chunk:
-                stats.truncated_tail = True
-                return
-            remaining -= len(chunk)
 
-        stats.total_records += 1
-        if incl_len > orig_len:
-            # Record header contradicts itself; never trust its contents.
-            stats.skipped_malformed += 1
-            continue
+def _parse_records(data, starts, stats, byte_order, nanos, linktype):
+    """The batch of the records whose headers start at ``starts`` in ``data``."""
+    # Padded so that a 16-byte read at any record or address start stays in
+    # the buffer, even for a short last record.
+    buf = np.frombuffer(data + bytes(32), np.uint8)
+    rows16 = np.ndarray((len(buf) - 15, 16), np.uint8, buf, 0, (1, 1))  # [i] is buf[i:i + 16]
+    at = np.fromiter(starts, np.int64, len(starts))
+    ts_sec, ts_frac, incl_len, orig_len = rows16[at].view(byte_order + "u4").T
+    frac_us = ts_frac // 1000 if nanos else ts_frac
+    timestamp_us = ts_sec.astype(np.int64) * 1_000_000 + frac_us
 
-        parsed = _dissect(buf, linktype)
-        if parsed is None:
-            stats.skipped_malformed += 1
-            continue
-        if parsed == 0:
-            stats.skipped_non_ip += 1
-            continue
-        version, src, dst = parsed
-        stats.valid_ip_packets += 1
-        timestamp_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanos else ts_frac)
-        yield PacketRecord(timestamp_us, version, src, dst)
+    # Frames with no 802.1Q tag and whole IP headers are located here; the
+    # rest go through _dissect.
+    ip_at = _IP_OFFSET[linktype]
+    ip = at + (RECORD_HEADER_LEN + ip_at)
+    nibble = buf[ip] >> 4
+    if linktype == LINKTYPE_RAW_IP:
+        version = nibble
+    else:
+        ethertype = buf[ip - 2].astype(np.uint16) << 8 | buf[ip - 1]
+        version = np.where(ethertype == ETHERTYPE_IPV4, 4,
+                           np.where(ethertype == ETHERTYPE_IPV6, 6, 0))
+    is_v4 = version == 4
+    well_formed = incl_len <= orig_len  # else the header contradicts itself: skip the frame
+    located = (well_formed & (is_v4 | (version == 6)) & (nibble == version)
+               & (incl_len >= ip_at + np.where(is_v4, 20, 40)))
+    version = np.where(located, version, 0).astype(np.uint8)
+    src_at = ip + np.where(is_v4, 12, 8)
+
+    malformed = len(at) - int(np.count_nonzero(well_formed))
+    non_ip = 0
+    for i in np.flatnonzero(well_formed & ~located).tolist():
+        body = starts[i] + RECORD_HEADER_LEN
+        found = _dissect(data[body : body + min(int(incl_len[i]), MAX_RECORD_BUFFER)],
+                         linktype)
+        if found is None:
+            malformed += 1
+        elif found == 0:
+            non_ip += 1
+        else:
+            version[i], src_at[i] = found[0], body + found[1]
+
+    stats.total_records += len(at)
+    stats.skipped_malformed += malformed
+    stats.skipped_non_ip += non_ip
+    stats.valid_ip_packets += len(at) - malformed - non_ip
+    keep = np.flatnonzero(version)
+    version, src_at = version[keep], src_at[keep]
+    return PacketBatch(timestamp_us[keep], version, rows16[src_at],
+                       rows16[src_at + np.where(version == 4, 4, 16)])
 
 
 def _dissect(buf, linktype):
-    """Extract (version, src, dst) from one captured frame.
+    """Locate the addresses of one captured frame as (version, offset of the
+    source address); the destination address follows the source.
 
     Returns None for malformed frames (too short to hold the indicated
     headers) and 0 for frames positively identified as non-IP.
@@ -182,12 +287,9 @@ def _dissect(buf, linktype):
         version = (4 if ethertype == ETHERTYPE_IPV4
                    else 6 if ethertype == ETHERTYPE_IPV6 else 0)
 
-    if version == 4:
-        if off + 20 > len(buf) or buf[off] >> 4 != 4:
-            return None
-        return 4, buf[off + 12 : off + 16], buf[off + 16 : off + 20]
-    if version == 6:
-        if off + 40 > len(buf) or buf[off] >> 4 != 6:
-            return None
-        return 6, buf[off + 8 : off + 24], buf[off + 24 : off + 40]
-    return 0
+    if version not in _ADDRESS_LAYOUT:
+        return 0
+    src_at, _, header_len = _ADDRESS_LAYOUT[version]
+    if off + header_len > len(buf) or buf[off] >> 4 != version:
+        return None
+    return version, off + src_at

@@ -1,10 +1,13 @@
 """Pseudonymization: test vectors, domain separation, key file format."""
 
 import hashlib
+import hmac
 import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tmsensor.anon import (
     KEY_FILE_LEN,
@@ -59,6 +62,15 @@ def test_matches_independent_hmac_on_random_inputs(fixed_key):
             hmac_sha256_by_hand(fixed_key.key_bytes, b"\x06" + ip)[:8], "big"
         )
         assert anonymize_ip(fixed_key, 6, ip) == expected
+
+
+@given(st.binary(min_size=32, max_size=32),
+       st.one_of(st.tuples(st.just(4), st.binary(min_size=4, max_size=4)),
+                 st.tuples(st.just(6), st.binary(min_size=16, max_size=16))))
+def test_matches_stdlib_hmac(key_bytes, address):
+    version, ip = address
+    digest = hmac.new(key_bytes, bytes([version]) + ip, hashlib.sha256).digest()
+    assert anonymize_ip(AnonKey(key_bytes), version, ip) == int.from_bytes(digest[:8], "big")
 
 
 def test_determinism(fixed_key):

@@ -1,5 +1,6 @@
 """Window building and merge algebra."""
 
+import io
 import random
 
 import numpy as np
@@ -9,14 +10,21 @@ from hypothesis import strategies as st
 
 from tmsensor import matrix
 from tmsensor.anon import anonymize_ip
-from tmsensor.errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
+from tmsensor.errors import (
+    InvariantViolation,
+    KeyMismatch,
+    LengthMismatch,
+    WindowSizeMismatch,
+)
 from tmsensor.matrix import (
     DEFAULT_WINDOW_SIZE,
     TrafficMatrix,
     build_windows,
     merge,
 )
-from tmsensor.pcap import PacketRecord
+from tmsensor.pcap import MAX_RECORD_BUFFER, PacketRecord, parse_pcap
+
+from conftest import eth_frame, ipv4_packet, ipv6_packet, pcap_header, pcap_record
 
 
 def make_packet(src: bytes, dst: bytes, ts: int = 0) -> PacketRecord:
@@ -153,6 +161,45 @@ def test_address_memo_is_dropped_past_its_bound(fixed_key, monkeypatch):
     # Only `first`'s two addresses repeat, and each is hashed again.
     assert calls.count(first.src_ip) == calls.count(first.dst_ip) == 2
     assert len(calls) == 2 * len(packets)
+
+
+def mixed_capture(packets: int, seed: int) -> bytes:
+    """Ethernet capture of IPv4 and IPv6 packets between a few dozen hosts."""
+    rng = random.Random(seed)
+    out = bytearray(pcap_header())
+    for i in range(packets):
+        if rng.random() < 0.3:
+            frame = eth_frame(ipv6_packet(f"fd00::{rng.randrange(40):x}",
+                                          f"fd00::{rng.randrange(40):x}"), ethertype=0x86DD)
+        else:
+            frame = eth_frame(ipv4_packet(f"10.0.0.{rng.randrange(60)}",
+                                          f"10.0.1.{rng.randrange(60)}", b"x" * 20))
+        out += pcap_record(frame, ts_sec=rng.randrange(1 << 20), ts_frac=i)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("window_size", [1, 2, 7, 1024])
+def test_parser_batches_and_record_list_build_equal_windows(fixed_key, window_size):
+    data = mixed_capture(3000, window_size)
+    assert len(data) > 2 * MAX_RECORD_BUFFER  # several parser chunks
+    from_batches = list(build_windows(parse_pcap(io.BytesIO(data))[0], fixed_key,
+                                      window_size))
+    from_list = list(build_windows(list(parse_pcap(io.BytesIO(data))[0]), fixed_key,
+                                   window_size))
+    assert from_batches == from_list
+    assert sum(m.packet_count for m in from_list) == 3000
+    assert len(from_list) == -(-3000 // window_size)
+
+
+@pytest.mark.parametrize("record, error", [
+    (PacketRecord(0, 4, b"\x0a" * 5, b"\x0a" * 4), LengthMismatch),
+    (PacketRecord(0, 6, b"\x0a" * 16, b"\x0a" * 4), LengthMismatch),
+    (PacketRecord(0, 5, b"\x0a" * 4, b"\x0a" * 4), ValueError),
+])
+def test_records_with_bad_addresses_are_rejected(fixed_key, record, error):
+    good = make_packet(b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02")
+    with pytest.raises(error):
+        list(build_windows([good, record], fixed_key, 16))
 
 
 def test_trailing_partial_window_emitted(fixed_key):

@@ -303,10 +303,13 @@ def _pseudonyms(key, memos, versions, src, dst):
 
 def _sum_cells(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort cells given as [rows, cols, counts] by (row, col) and add up the
-    counts of equal cells. Empties ``columns``, so that the unsorted arrays
-    can be freed before the sums are taken."""
+    counts of equal cells. Empties ``columns``: each unsorted array is freed
+    as soon as its sorted copy exists."""
     order = np.lexsort((columns[1], columns[0]))
-    rows, cols, counts = (column[order] for column in columns)
+    for i, column in enumerate(columns):
+        columns[i] = column[order]
+    del column
+    rows, cols, counts = columns
     columns.clear()
     first_of_cell = np.ones(len(rows), bool)
     first_of_cell[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])

@@ -15,7 +15,7 @@ from .matrix import (
     build_windows,
     merge,
 )
-from .pcap import CaptureStats, PacketRecord, parse_pcap
+from .pcap import CaptureStats, PacketBatch, parse_pcap
 from .synth import SynthSpec, read_ground_truth, synthesize, write_ground_truth
 from .tmf import read_tmf, write_tmf
 
@@ -26,7 +26,7 @@ __all__ = [
     "AnonKey",
     "CaptureStats",
     "DEFAULT_WINDOW_SIZE",
-    "PacketRecord",
+    "PacketBatch",
     "SensorError",
     "SynthSpec",
     "TrafficMatrix",

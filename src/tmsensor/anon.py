@@ -61,22 +61,15 @@ class AnonKey:
                 hashlib.sha256(bytes(b ^ 0x5C for b in block)))
 
 
-def check_address(ip_version: int, ip: bytes) -> None:
-    """Raise unless ``ip`` is an address of IP version ``ip_version``."""
-    try:
-        expected = _ADDR_LEN[ip_version]
-    except KeyError:
-        raise ValueError(f"ip_version must be 4 or 6, got {ip_version}") from None
+def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
+    """Map an IP address to its 64-bit pseudonym under the given key."""
+    expected = _ADDR_LEN.get(ip_version)
     if len(ip) != expected:
+        if expected is None:
+            raise ValueError(f"ip_version must be 4 or 6, got {ip_version}")
         raise LengthMismatch(
             f"IPv{ip_version} address must be {expected} bytes, got {len(ip)}"
         )
-
-
-def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
-    """Map an IP address to its 64-bit pseudonym under the given key."""
-    if len(ip) != _ADDR_LEN.get(ip_version):
-        check_address(ip_version, ip)
     inner_pad, outer_pad = key._hmac_pads
     inner, outer = inner_pad.copy(), outer_pad.copy()
     inner.update(_TAG[ip_version] + ip)

@@ -184,8 +184,8 @@ def convert_file(
     out_path = None
     tmf_bytes = 0
     with open(pcap_path, "rb") as f:
-        records, stats = parse_pcap(_HashingReader(f, digest))
-        windows = build_windows(records, key, window_size)
+        batches, stats = parse_pcap(_HashingReader(f, digest))
+        windows = build_windows(batches, key, window_size)
         first = next(windows, None)
         if first is not None:
             hour = first.start_time_us // _US_PER_HOUR

@@ -22,10 +22,9 @@ from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .anon import KEY_ID_LEN, AnonKey, anonymize_ip, check_address
+from .anon import KEY_ID_LEN, AnonKey, anonymize_ip
 from .errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
-from .pcap import (MAX_RECORD_BUFFER, RECORD_HEADER_LEN, PacketBatch, PacketRecord,
-                   PacketRecords)
+from .pcap import PacketBatch
 
 DEFAULT_WINDOW_SIZE = 1 << 17  # 131,072 packets
 
@@ -139,24 +138,24 @@ class _CellView(Mapping):
 
 
 def build_windows(
-    packets: Iterable[PacketRecord], key: AnonKey, window_size: int = DEFAULT_WINDOW_SIZE
+    batches: Iterable[PacketBatch], key: AnonKey, window_size: int = DEFAULT_WINDOW_SIZE
 ) -> Iterator[TrafficMatrix]:
-    """Aggregate a packet stream into per-window traffic matrices.
+    """Aggregate a stream of packet batches into per-window traffic matrices.
 
     Packets are taken in stream order; every ``window_size`` of them closes
     a matrix. The trailing partial window is emitted too (interrupted
     captures are the common case), flagged simply by its smaller
-    packet_count. Output is identical however the input is chunked.
+    packet_count. Output is identical however the packets are split into
+    batches.
 
-    The parser's batches are read directly; any other record iterable is
-    gathered into the same columns first. Each batch is sliced at window
-    boundaries, and each slice's cells are counted with a sort and folded
-    into the open window, so memory holds the window's distinct cells and
-    one batch, never a per-packet array of a whole window.
+    Each batch is sliced at window boundaries, and each slice's cells are
+    counted with a sort and folded into the open window, so memory holds the
+    window's distinct cells and one batch, never a per-packet array of a
+    whole window. A batch holding an IP version other than 4 or 6 raises
+    ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    batches = packets.batches if isinstance(packets, PacketRecords) else _gather(packets)
     key_id = key.key_id
     memos = (_Memo(4, ">u4"), _Memo(6, "V16"))
     # The open window's cells: the folded ones, then one part per slice since
@@ -166,6 +165,10 @@ def build_windows(
     t_min = t_max = 0
 
     for batch in batches:
+        unknown = (batch.ip_version != 4) & (batch.ip_version != 6)
+        if unknown.any():
+            raise ValueError(
+                f"ip_version must be 4 or 6, got {batch.ip_version[unknown][0]}")
         n = len(batch.timestamp_us)
         lo = 0
         while lo < n:
@@ -209,21 +212,6 @@ def _close(window_size, count, t_min, t_max, key_id, parts):
     cells are not held twice while the caller uses the matrix."""
     _fold(parts)
     return TrafficMatrix(window_size, count, t_min, t_max, key_id, *parts.pop())
-
-
-def _gather(records: Iterable[PacketRecord]) -> Iterator[PacketBatch]:
-    """Records as PacketBatch columns, at most as many per batch as one
-    parser chunk can hold."""
-    it = iter(records)
-    while block := list(itertools.islice(it, MAX_RECORD_BUFFER // RECORD_HEADER_LEN)):
-        ts, versions, srcs, dsts = zip(*block)
-        for version, src, dst in zip(versions, srcs, dsts):
-            check_address(version, src)
-            check_address(version, dst)
-        yield PacketBatch(np.array(ts, np.int64), np.array(versions, np.uint8),
-                          *(np.frombuffer(b"".join(bytes(a).ljust(16, b"\x00") for a in addrs),
-                                          np.uint8).reshape(-1, 16)
-                            for addrs in (srcs, dsts)))
 
 
 class _Memo:

@@ -1,8 +1,8 @@
 """Classic-PCAP (libpcap) capture file parsing.
 
-Extracts one record per IP packet: timestamp and source/destination
-address. Nothing past the IP address fields is decoded; ports, payloads,
-and fragments are deliberately ignored.
+Extracts the timestamp and source/destination address of each IP packet.
+Nothing past the IP address fields is decoded; ports, payloads, and
+fragments are deliberately ignored.
 
 Parsing is streaming and batched. The stream is read in chunks of
 ``MAX_RECORD_BUFFER`` bytes, and the records that end in a chunk become one
@@ -15,11 +15,13 @@ drained, not kept) no matter how large the file is. ``CaptureStats`` advance
 one chunk at a time. A capture cut off mid-record (the normal outcome of an
 interrupted mirror port) is reported through ``CaptureStats.truncated_tail``
 instead of an error.
+
+``parse_pcap`` returns an iterator of these batches; they are the one packet
+representation the matrix builder reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, NamedTuple
@@ -60,18 +62,9 @@ MAX_RECORD_BUFFER = 64 * 1024
 
 # Offset of the IP header in a frame without 802.1Q tags, by link type.
 _IP_OFFSET = {LINKTYPE_ETHERNET: 14, LINKTYPE_LINUX_SLL: 16, LINKTYPE_RAW_IP: 0}
-# IP version -> (source address offset in the IP header, address length,
-# IP header length); the destination follows the source.
-_ADDRESS_LAYOUT = {4: (12, 4, 20), 6: (8, 16, 40)}
-
-
-class PacketRecord(NamedTuple):
-    """One parsed IP packet."""
-
-    timestamp_us: int
-    ip_version: int  # 4 or 6
-    src_ip: bytes  # 4 bytes for v4, 16 for v6
-    dst_ip: bytes
+# IP version -> (source address offset in the IP header, IP header length);
+# the destination follows the source.
+_ADDRESS_LAYOUT = {4: (12, 20), 6: (8, 40)}
 
 
 class PacketBatch(NamedTuple):
@@ -85,32 +78,6 @@ class PacketBatch(NamedTuple):
     ip_version: np.ndarray  # uint8, 4 or 6
     src_ip: np.ndarray  # (n, 16) uint8
     dst_ip: np.ndarray
-
-    def records(self) -> Iterator[PacketRecord]:
-        src, dst = self.src_ip.tobytes(), self.dst_ip.tobytes()
-        for i, (ts, version) in enumerate(zip(self.timestamp_us.tolist(),
-                                              self.ip_version.tolist())):
-            at = 16 * i
-            end = at + _ADDRESS_LAYOUT[version][1]
-            yield PacketRecord(ts, version, src[at:end], dst[at:end])
-
-
-class PacketRecords:
-    """Iterator over a capture's PacketRecords, parsed one chunk at a time.
-
-    ``batches`` yields the same packets as PacketBatch columns; a consumer
-    reads one or the other, not both.
-    """
-
-    def __init__(self, batches: Iterator[PacketBatch]):
-        self.batches = batches
-        self._records = itertools.chain.from_iterable(map(PacketBatch.records, batches))
-
-    def __iter__(self) -> PacketRecords:
-        return self
-
-    def __next__(self) -> PacketRecord:
-        return next(self._records)
 
 
 @dataclass
@@ -130,13 +97,13 @@ class CaptureStats:
     truncated_tail: bool = False
 
 
-def parse_pcap(stream: BinaryIO) -> tuple[PacketRecords, CaptureStats]:
-    """Open a classic-PCAP byte stream for streaming record extraction.
+def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketBatch], CaptureStats]:
+    """Open a classic-PCAP byte stream for streaming packet extraction.
 
     The global header is read and validated immediately; records are decoded
-    lazily, one chunk of the stream at a time, as the returned iterator
-    advances. The stats object is updated in place per chunk and is final
-    once the iterator is exhausted.
+    lazily, one chunk of the stream at a time, as the returned iterator of
+    PacketBatches advances. The stats object is updated in place per chunk
+    and is final once the iterator is exhausted.
 
     Raises BadMagic for non-PCAP input (PcapngUnsupported for pcapng) and
     UnsupportedLinkType for captures this parser cannot dissect. Truncation
@@ -145,9 +112,9 @@ def parse_pcap(stream: BinaryIO) -> tuple[PacketRecords, CaptureStats]:
     layout = _read_global_header(stream)
     if layout is None:
         # File ends inside the global header: no records, flagged truncated.
-        return PacketRecords(iter(())), CaptureStats(truncated_tail=True)
+        return iter(()), CaptureStats(truncated_tail=True)
     stats = CaptureStats()
-    return PacketRecords(_iter_batches(stream, stats, *layout)), stats
+    return _iter_batches(stream, stats, *layout), stats
 
 
 def _read_global_header(stream):
@@ -289,7 +256,7 @@ def _dissect(buf, linktype):
 
     if version not in _ADDRESS_LAYOUT:
         return 0
-    src_at, _, header_len = _ADDRESS_LAYOUT[version]
+    src_at, header_len = _ADDRESS_LAYOUT[version]
     if off + header_len > len(buf) or buf[off] >> 4 != version:
         return None
     return version, off + src_at

@@ -9,11 +9,14 @@ import random
 import socket
 import struct
 import time
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from tmsensor.anon import AnonKey
 from tmsensor.matrix import TrafficMatrix
+from tmsensor.pcap import PacketBatch
 
 US_PER_SEC = 1_000_000
 
@@ -84,6 +87,40 @@ def eth_ipv4_capture(pairs, ts_us=None, endian: str = "<") -> bytes:
             endian=endian,
         )
     return bytes(out)
+
+
+class Packet(NamedTuple):
+    """One packet as tests write and compare it."""
+
+    timestamp_us: int
+    ip_version: int  # 4 or 6
+    src_ip: bytes  # 4 bytes for v4, 16 for v6
+    dst_ip: bytes
+
+
+def batch(packets) -> PacketBatch:
+    """(timestamp_us, ip_version, src_ip, dst_ip) tuples as one PacketBatch,
+    each address zero-padded to its 16-byte row."""
+    packets = list(packets)
+    ts, versions, srcs, dsts = zip(*packets) if packets else ((), (), (), ())
+
+    def rows(addrs):
+        data = b"".join(bytes(a).ljust(16, b"\x00") for a in addrs)
+        return np.frombuffer(data, np.uint8).reshape(-1, 16)
+
+    return PacketBatch(np.array(ts, np.int64), np.array(versions, np.uint8),
+                       rows(srcs), rows(dsts))
+
+
+def records_of(batches) -> list[Packet]:
+    """The packets of PacketBatches in stream order, one Packet each."""
+    out = []
+    for b in batches:
+        for ts, version, src, dst in zip(b.timestamp_us.tolist(), b.ip_version.tolist(),
+                                         b.src_ip, b.dst_ip):
+            n = 4 if version == 4 else 16
+            out.append(Packet(ts, version, src[:n].tobytes(), dst[:n].tobytes()))
+    return out
 
 
 def random_entries(rng: random.Random, max_entries: int = 60):

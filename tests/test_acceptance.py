@@ -17,13 +17,14 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from tmsensor import cli
 from tmsensor.analytics import AnalysisReport, analyze_many
 from tmsensor.anon import AnonKey, anonymize_ip, save_key
 from tmsensor.matrix import build_windows, merge
-from tmsensor.pcap import PacketRecord, parse_pcap
+from tmsensor.pcap import PacketBatch, parse_pcap
 from tmsensor.synth import SynthSpec, synthesize
 from tmsensor.tmf import read_tmf, write_tmf
 
@@ -154,18 +155,18 @@ def test_criterion_3_oracle_equivalence():
         n_packets = 100_000 if case == 0 else (0 if case == 1 else rng.randrange(3000))
         n_hosts = rng.randint(2, 512)
         hosts = [bytes([10, h >> 8, h & 0xFF, 1]) for h in range(n_hosts)]
+        host_ids = [anonymize_ip(KEY, 4, host) for host in hosts]
+        host_rows = np.zeros((n_hosts, 16), np.uint8)  # an IPv4 address fills 4 bytes
+        host_rows[:, :4] = np.frombuffer(b"".join(hosts), np.uint8).reshape(-1, 4)
         window = rng.choice([1, 7, 64, 1024, 1 << 30])
 
-        packets = []
-        anonymized = []
-        for i in range(n_packets):
-            src, dst = rng.sample(hosts, 2)
-            packets.append(PacketRecord(i, 4, src, dst))
-            anonymized.append(
-                (anonymize_ip(KEY, 4, src), anonymize_ip(KEY, 4, dst))
-            )
+        pairs = [rng.sample(range(n_hosts), 2) for _ in range(n_packets)]
+        src, dst = np.array(pairs, np.intp).reshape(-1, 2).T
+        packets = PacketBatch(np.arange(n_packets, dtype=np.int64),
+                              np.full(n_packets, 4, np.uint8), host_rows[src], host_rows[dst])
+        anonymized = [(host_ids[s], host_ids[d]) for s, d in pairs]
 
-        matrices = list(build_windows(packets, KEY, window))
+        matrices = list(build_windows([packets], KEY, window))
         reports, merged = analyze_many(matrices)
         assert merged == oracle_report(anonymized)
         for w, r in enumerate(reports):
@@ -201,8 +202,8 @@ def test_criterion_4_conservation(tmp_path):
     """Σ packet_count over emitted matrices == valid_ip_packets. Exact."""
     captures = 0
     for data in corpus_for_conservation(tmp_path):
-        records, stats = parse_pcap(io.BytesIO(data))
-        matrices = list(build_windows(records, KEY, 512))
+        batches, stats = parse_pcap(io.BytesIO(data))
+        matrices = list(build_windows(batches, KEY, 512))
         assert sum(m.packet_count for m in matrices) == stats.valid_ip_packets
         assert stats.total_records == (
             stats.valid_ip_packets + stats.skipped_non_ip + stats.skipped_malformed
@@ -304,15 +305,14 @@ def test_criterion_7_merge_algebra():
         SynthSpec(host_count=64, packet_count=8 * window, seed=55), buf
     )
     buf.seek(0)
-    records, _ = parse_pcap(buf)
-    packets = list(records)
+    batches = list(parse_pcap(buf)[0])
 
-    small = list(build_windows(packets, KEY, window))
+    small = list(build_windows(batches, KEY, window))
     assert len(small) == 8
     shuffled = small[:]
     rng.shuffle(shuffled)
     combined = functools.reduce(merge, shuffled)
-    (big,) = build_windows(packets, KEY, 8 * window)
+    (big,) = build_windows(batches, KEY, 8 * window)
 
     equivalent = (
         combined.entries == big.entries

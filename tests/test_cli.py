@@ -172,9 +172,9 @@ def test_convert_file_streams_windows(tmp_path, fixed_key, small_pcap,
         nonlocal live
         live -= 1
 
-    def tracked(records, key, window_size):
+    def tracked(batches, key, window_size):
         nonlocal live, most_live
-        for m in real_build_windows(records, key, window_size):
+        for m in real_build_windows(batches, key, window_size):
             weakref.finalize(m, freed)
             live += 1
             most_live = max(most_live, live)

@@ -165,8 +165,8 @@ VALID_PCAP = [
 
 
 def parse_pcap_fully(data: bytes):
-    records, _ = parse_pcap(io.BytesIO(data))
-    for _ in records:
+    batches, _ = parse_pcap(io.BytesIO(data))
+    for _ in batches:
         pass
 
 

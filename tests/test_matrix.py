@@ -10,32 +10,36 @@ from hypothesis import strategies as st
 
 from tmsensor import matrix
 from tmsensor.anon import anonymize_ip
-from tmsensor.errors import (
-    InvariantViolation,
-    KeyMismatch,
-    LengthMismatch,
-    WindowSizeMismatch,
-)
+from tmsensor.errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
 from tmsensor.matrix import (
     DEFAULT_WINDOW_SIZE,
     TrafficMatrix,
     build_windows,
     merge,
 )
-from tmsensor.pcap import MAX_RECORD_BUFFER, PacketRecord, parse_pcap
+from tmsensor.pcap import MAX_RECORD_BUFFER, PacketBatch, parse_pcap
 
-from conftest import eth_frame, ipv4_packet, ipv6_packet, pcap_header, pcap_record
+from conftest import (
+    Packet,
+    batch,
+    eth_frame,
+    ipv4_packet,
+    ipv6_packet,
+    pcap_header,
+    pcap_record,
+)
 
 
-def make_packet(src: bytes, dst: bytes, ts: int = 0) -> PacketRecord:
-    return PacketRecord(ts, 4, src, dst)
+def make_packet(src: bytes, dst: bytes, ts: int = 0) -> Packet:
+    return Packet(ts, 4, src, dst)
 
 
-def stream(pairs, ts_start=0):
-    return [
+def stream(pairs, ts_start=0) -> list[PacketBatch]:
+    """IPv4 (src, dst) pairs as a one-batch stream, one microsecond apart."""
+    return [batch(
         make_packet(bytes(src), bytes(dst), ts_start + i)
         for i, (src, dst) in enumerate(pairs)
-    ]
+    )]
 
 
 def empty_like(m: TrafficMatrix) -> TrafficMatrix:
@@ -59,22 +63,22 @@ def test_single_cell_aggregation(fixed_key):
 
 def test_window_boundary_at_exactly_one_extra_packet(fixed_key):
     n = 4096
-    packets = (
+    packets = batch(
         make_packet(b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02", i)
         for i in range(n + 1)
     )
-    counts = [m.packet_count for m in build_windows(packets, fixed_key, n)]
+    counts = [m.packet_count for m in build_windows([packets], fixed_key, n)]
     assert counts == [n, 1]
 
 
 def test_default_window_size_boundary(fixed_key):
     """131,073 packets at the default window → counts [131072, 1]."""
     n = DEFAULT_WINDOW_SIZE
-    packets = (
+    packets = batch(
         make_packet(b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02", i)
         for i in range(n + 1)
     )
-    counts = [m.packet_count for m in build_windows(packets, fixed_key)]
+    counts = [m.packet_count for m in build_windows([packets], fixed_key)]
     assert counts == [n, 1]
 
 
@@ -97,11 +101,11 @@ def test_matches_brute_force_pair_counting(fixed_key):
 
 
 def test_time_range_is_min_max_of_timestamps(fixed_key):
-    packets = [
+    packets = batch(
         make_packet(b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02", ts)
         for ts in (500, 100, 900, 300)  # reordering tolerated
-    ]
-    (m,) = build_windows(packets, fixed_key, 1 << 10)
+    )
+    (m,) = build_windows([packets], fixed_key, 1 << 10)
     assert (m.start_time_us, m.end_time_us) == (100, 900)
 
 
@@ -111,20 +115,22 @@ def test_output_invariant_to_input_chunking(fixed_key):
         ((10, 0, 0, rng.randrange(1, 20)), (10, 0, 1, rng.randrange(1, 20)))
         for _ in range(997)
     ]
-    packets = stream(pairs)
+    (packets,) = stream(pairs)
 
-    def chunked(seq, sizes):
-        it = iter(seq)
-        while True:
-            block = [x for _, x in zip(range(next(sizes)), it)]
-            if not block:
-                return
-            yield from block
+    def chunked(whole, sizes):
+        """``whole`` re-sliced into consecutive batches of the given sizes."""
+        lo = 0
+        for size in sizes:
+            yield PacketBatch(*(column[lo : lo + size] for column in whole))
+            lo += size
 
-    sizes = iter([1, 5, 100, 7, 884, 1000])
-    one_shot = list(build_windows(packets, fixed_key, 256))
+    # The sizes cross the 256-packet window edges; the last batch is empty.
+    sizes = [1, 5, 100, 7, 884, 1000]
+    one_shot = list(build_windows([packets], fixed_key, 256))
     streamed = list(build_windows(chunked(packets, sizes), fixed_key, 256))
+    assert [len(b.timestamp_us) for b in chunked(packets, sizes)] == [1, 5, 100, 7, 884, 0]
     assert one_shot == streamed
+    assert [m.packet_count for m in streamed] == [256, 256, 256, 229]
 
 
 def counting_anonymizer(monkeypatch):
@@ -157,7 +163,7 @@ def test_address_memo_is_dropped_past_its_bound(fixed_key, monkeypatch):
         for i in range(1 << 24, (1 << 24) + limit + 2, 2)
     )
     packets = [first, *fresh, first]
-    list(build_windows(packets, fixed_key, 2))
+    list(build_windows([batch(packets)], fixed_key, 2))
     # Only `first`'s two addresses repeat, and each is hashed again.
     assert calls.count(first.src_ip) == calls.count(first.dst_ip) == 2
     assert len(calls) == 2 * len(packets)
@@ -179,27 +185,27 @@ def mixed_capture(packets: int, seed: int) -> bytes:
 
 
 @pytest.mark.parametrize("window_size", [1, 2, 7, 1024])
-def test_parser_batches_and_record_list_build_equal_windows(fixed_key, window_size):
+def test_parser_batches_build_equal_windows_through_a_generator(fixed_key, window_size):
     data = mixed_capture(3000, window_size)
     assert len(data) > 2 * MAX_RECORD_BUFFER  # several parser chunks
-    from_batches = list(build_windows(parse_pcap(io.BytesIO(data))[0], fixed_key,
-                                      window_size))
-    from_list = list(build_windows(list(parse_pcap(io.BytesIO(data))[0]), fixed_key,
-                                   window_size))
-    assert from_batches == from_list
-    assert sum(m.packet_count for m in from_list) == 3000
-    assert len(from_list) == -(-3000 // window_size)
+    direct = list(build_windows(parse_pcap(io.BytesIO(data))[0], fixed_key, window_size))
+
+    def passed_through(batches):  # a plain generator, as a tracing wrapper hands them on
+        for b in batches:
+            yield b
+
+    wrapped = list(build_windows(passed_through(parse_pcap(io.BytesIO(data))[0]),
+                                 fixed_key, window_size))
+    assert direct == wrapped
+    assert sum(m.packet_count for m in wrapped) == 3000
+    assert len(wrapped) == -(-3000 // window_size)
 
 
-@pytest.mark.parametrize("record, error", [
-    (PacketRecord(0, 4, b"\x0a" * 5, b"\x0a" * 4), LengthMismatch),
-    (PacketRecord(0, 6, b"\x0a" * 16, b"\x0a" * 4), LengthMismatch),
-    (PacketRecord(0, 5, b"\x0a" * 4, b"\x0a" * 4), ValueError),
-])
-def test_records_with_bad_addresses_are_rejected(fixed_key, record, error):
+def test_batch_with_unknown_ip_version_is_rejected(fixed_key):
     good = make_packet(b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02")
-    with pytest.raises(error):
-        list(build_windows([good, record], fixed_key, 16))
+    bad = Packet(0, 5, b"\x0a" * 4, b"\x0a" * 4)
+    with pytest.raises(ValueError, match="ip_version must be 4 or 6, got 5"):
+        list(build_windows([batch([good, bad])], fixed_key, 16))
 
 
 def test_trailing_partial_window_emitted(fixed_key):

@@ -22,13 +22,14 @@ from conftest import (
     ipv6_packet,
     pcap_header,
     pcap_record,
+    records_of,
     sll_frame,
 )
 
 
 def parse_all(data: bytes):
-    records, stats = parse_pcap(io.BytesIO(data))
-    return list(records), stats
+    batches, stats = parse_pcap(io.BytesIO(data))
+    return records_of(batches), stats
 
 
 THREE_PAIRS = [("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.2"),
@@ -285,8 +286,8 @@ def test_oversized_record_is_read_in_bounded_chunks():
         eth_frame(ipv4_packet("10.0.0.3", "10.0.0.4"))
     )
     _BoundedReader.max_request = 0
-    records, stats = parse_pcap(_BoundedReader(data))
-    records = list(records)
+    batches, stats = parse_pcap(_BoundedReader(data))
+    list(batches)
     assert _BoundedReader.max_request <= MAX_RECORD_BUFFER
     assert stats.valid_ip_packets == 2
 
@@ -301,11 +302,11 @@ def test_oversized_record_cut_mid_drain_sets_truncated_tail():
 
 def test_records_are_lazy_but_stats_live():
     data = eth_ipv4_capture(THREE_PAIRS)
-    records, stats = parse_pcap(io.BytesIO(data))
+    batches, stats = parse_pcap(io.BytesIO(data))
     assert stats.total_records == 0  # nothing consumed yet
-    next(records)
+    next(batches)
     assert stats.total_records >= 1  # stats advance one read chunk at a time
-    list(records)
+    list(batches)
     assert stats.total_records == 3
 
 

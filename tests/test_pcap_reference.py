@@ -2,8 +2,9 @@
 
 The reference is the straightforward parser: one record header and one frame
 read at a time, each frame dissected on its own. For any capture both must
-give the same records and the same final CaptureStats, however the records
-fall against the parser's read chunks.
+give the same packets and the same final CaptureStats, however the records
+fall against the parser's read chunks. The parser's batches are flattened
+into one Packet each for the comparison.
 """
 
 import io
@@ -17,12 +18,18 @@ from tmsensor.pcap import (
     MAX_RECORD_BUFFER,
     RECORD_HEADER_LEN,
     CaptureStats,
-    PacketRecord,
     _read_global_header,
     parse_pcap,
 )
 
-from conftest import ipv4_packet, ipv6_packet, pcap_header, pcap_record
+from conftest import (
+    Packet,
+    ipv4_packet,
+    ipv6_packet,
+    pcap_header,
+    pcap_record,
+    records_of,
+)
 
 ETHERNET, RAW_IP, LINUX_SLL = 1, 101, 113
 
@@ -74,7 +81,7 @@ def reference_records(stream, stats, byte_order, nanos, linktype):
         version, src, dst = parsed
         stats.valid_ip_packets += 1
         timestamp_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanos else ts_frac)
-        yield PacketRecord(timestamp_us, version, src, dst)
+        yield Packet(timestamp_us, version, src, dst)
 
 
 def reference_dissect(buf, linktype):
@@ -107,8 +114,8 @@ def reference_dissect(buf, linktype):
 
 
 def parse_all(data: bytes):
-    records, stats = parse_pcap(io.BytesIO(data))
-    return list(records), stats
+    batches, stats = parse_pcap(io.BytesIO(data))
+    return records_of(batches), stats
 
 
 def link_frame(linktype: int, ethertype: int, vlans: int, packet: bytes) -> bytes:

@@ -15,6 +15,8 @@ from tmsensor.synth import (
     write_ground_truth,
 )
 
+from conftest import records_of
+
 SMALL = SynthSpec(host_count=16, packet_count=1500, seed=42,
                   payload_len_range=(20, 80))
 
@@ -43,16 +45,16 @@ def test_zero_packets_is_header_only_pcap():
     data, truth = run(SynthSpec(host_count=4, packet_count=0, seed=1))
     assert len(data) == 24
     assert truth == {}
-    records, stats = parse_pcap(io.BytesIO(data))
-    assert list(records) == []
+    batches, stats = parse_pcap(io.BytesIO(data))
+    assert records_of(batches) == []
     assert stats.truncated_tail is False
 
 
 def test_output_parses_with_counts_matching_ground_truth():
     data, truth = run(SMALL)
-    records, stats = parse_pcap(io.BytesIO(data))
+    batches, stats = parse_pcap(io.BytesIO(data))
     observed: dict = {}
-    for r in records:
+    for r in records_of(batches):
         pair = (socket.inet_ntoa(r.src_ip), socket.inet_ntoa(r.dst_ip))
         observed[pair] = observed.get(pair, 0) + 1
     assert stats.total_records == SMALL.packet_count
@@ -82,8 +84,8 @@ def test_hosts_are_distinct_and_inside_slash16():
 def test_timestamps_are_nondecreasing_cumulative_sums():
     data, _ = run(SynthSpec(host_count=8, packet_count=300, seed=5,
                             start_time_us=1_700_000_000_000_000))
-    records, _ = parse_pcap(io.BytesIO(data))
-    times = [r.timestamp_us for r in records]
+    batches, _ = parse_pcap(io.BytesIO(data))
+    times = [r.timestamp_us for r in records_of(batches)]
     assert times == sorted(times)
     assert times[0] >= 1_700_000_000_000_000
 

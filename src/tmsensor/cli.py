@@ -447,9 +447,9 @@ def watch_loop(
                     delete_after=cfg.delete_after_convert,
                     log=log,
                 )
-            except FileNotFoundError:
-                continue  # vanished between scan and open
             except (SensorError, OSError) as exc:
+                if isinstance(exc, FileNotFoundError) and not os.path.lexists(path):
+                    continue  # vanished between scan and open
                 print(f"[watch] {name}: conversion failed: {exc}", file=log)
                 failed.add((name, mtime_ns))
                 continue

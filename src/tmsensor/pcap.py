@@ -7,14 +7,14 @@ fragments are deliberately ignored.
 Parsing is streaming and batched. The stream is read in chunks of
 ``MAX_RECORD_BUFFER`` bytes, and the records that end in a chunk become one
 ``PacketBatch`` of numpy columns: the record headers are walked one by one,
-the addresses of plain Ethernet, Linux SLL and raw IPv4/IPv6 frames are
-gathered for the whole batch at once, and every other frame goes through
-``_dissect``. Memory use is bounded by one chunk plus one carried record (the
-one cut by the chunk edge; past ``MAX_RECORD_BUFFER`` body bytes a record is
-drained, not kept) no matter how large the file is. ``CaptureStats`` advance
-one chunk at a time. A capture cut off mid-record (the normal outcome of an
-interrupted mirror port) is reported through ``CaptureStats.truncated_tail``
-instead of an error.
+then one vectorized pass classifies every record of the chunk and gathers
+the addresses of its Ethernet, Linux SLL and raw IPv4/IPv6 frames, behind
+any number of 802.1Q tags. Memory use is bounded by one chunk plus one
+carried record (the one cut by the chunk edge; past ``MAX_RECORD_BUFFER``
+body bytes a record is drained, not kept) no matter how large the file is.
+``CaptureStats`` advance one chunk at a time. A capture cut off mid-record
+(the normal outcome of an interrupted mirror port) is reported through
+``CaptureStats.truncated_tail`` instead of an error.
 
 ``parse_pcap`` returns an iterator of these batches; they are the one packet
 representation the matrix builder reads.
@@ -60,11 +60,10 @@ ETHERTYPE_VLAN = 0x8100
 # cannot inflate memory use.
 MAX_RECORD_BUFFER = 64 * 1024
 
-# Offset of the IP header in a frame without 802.1Q tags, by link type.
-_IP_OFFSET = {LINKTYPE_ETHERNET: 14, LINKTYPE_LINUX_SLL: 16, LINKTYPE_RAW_IP: 0}
-# IP version -> (source address offset in the IP header, IP header length);
-# the destination follows the source.
-_ADDRESS_LAYOUT = {4: (12, 20), 6: (8, 40)}
+# Offset of a frame's first EtherType, by link type; raw IP has none. An IPv4
+# header is 20 bytes with the source address at 12, an IPv6 header 40 bytes
+# with it at 8; the destination address follows the source.
+_ETHERTYPE_AT = {LINKTYPE_ETHERNET: 12, LINKTYPE_LINUX_SLL: 14}
 
 
 class PacketBatch(NamedTuple):
@@ -178,85 +177,68 @@ def _iter_batches(stream, stats, byte_order, nanos, linktype):
 
 
 def _parse_records(data, starts, stats, byte_order, nanos, linktype):
-    """The batch of the records whose headers start at ``starts`` in ``data``."""
-    # Padded so that a 16-byte read at any record or address start stays in
-    # the buffer, even for a short last record.
-    buf = np.frombuffer(data + bytes(32), np.uint8)
+    """The batch of the records whose headers start at ``starts`` in ``data``.
+
+    Every record is classified at once. It is framed if its EtherType, past
+    any 802.1Q tags (for raw IP: its version byte), lies in its first
+    ``MAX_RECORD_BUFFER`` bytes; a framed record is non-IP, or valid if it
+    holds a whole IP header of the version it names. All else is malformed.
+    """
+    # Zero padding: a 16-byte read at any record or address start stays in
+    # the buffer, and every run of 802.1Q tags ends inside it.
+    buf = np.frombuffer(data + bytes(48), np.uint8)
     rows16 = np.ndarray((len(buf) - 15, 16), np.uint8, buf, 0, (1, 1))  # [i] is buf[i:i + 16]
     at = np.fromiter(starts, np.int64, len(starts))
     ts_sec, ts_frac, incl_len, orig_len = rows16[at].view(byte_order + "u4").T
     frac_us = ts_frac // 1000 if nanos else ts_frac
     timestamp_us = ts_sec.astype(np.int64) * 1_000_000 + frac_us
 
-    # Frames with no 802.1Q tag and whole IP headers are located here; the
-    # rest go through _dissect.
-    ip_at = _IP_OFFSET[linktype]
-    ip = at + (RECORD_HEADER_LEN + ip_at)
-    nibble = buf[ip] >> 4
+    body = at + RECORD_HEADER_LEN
+    end = body + np.minimum(incl_len, MAX_RECORD_BUFFER)  # past the bytes parsed
     if linktype == LINKTYPE_RAW_IP:
-        version = nibble
+        ip = body
+        framed = ip < end
+        version = buf[ip] >> 4
     else:
-        ethertype = buf[ip - 2].astype(np.uint16) << 8 | buf[ip - 1]
+        et = body + _ETHERTYPE_AT[linktype]
+        ethertype = _words(buf, et)
+        if (ethertype == ETHERTYPE_VLAN).any():
+            et = _skip_tags(buf)[et]
+            ethertype = _words(buf, et)
+        ip = et + 2
+        framed = ip <= end
         version = np.where(ethertype == ETHERTYPE_IPV4, 4,
                            np.where(ethertype == ETHERTYPE_IPV6, 6, 0))
+    framed &= incl_len <= orig_len  # else the header contradicts itself
     is_v4 = version == 4
-    well_formed = incl_len <= orig_len  # else the header contradicts itself: skip the frame
-    located = (well_formed & (is_v4 | (version == 6)) & (nibble == version)
-               & (incl_len >= ip_at + np.where(is_v4, 20, 40)))
-    version = np.where(located, version, 0).astype(np.uint8)
-    src_at = ip + np.where(is_v4, 12, 8)
-
-    malformed = len(at) - int(np.count_nonzero(well_formed))
-    non_ip = 0
-    for i in np.flatnonzero(well_formed & ~located).tolist():
-        body = starts[i] + RECORD_HEADER_LEN
-        found = _dissect(data[body : body + min(int(incl_len[i]), MAX_RECORD_BUFFER)],
-                         linktype)
-        if found is None:
-            malformed += 1
-        elif found == 0:
-            non_ip += 1
-        else:
-            version[i], src_at[i] = found[0], body + found[1]
+    is_ip = is_v4 | (version == 6)
+    non_ip = int(np.count_nonzero(framed & ~is_ip))
+    keep = np.flatnonzero(framed & is_ip & (buf[ip] >> 4 == version)
+                          & (ip + np.where(is_v4, 20, 40) <= end))
 
     stats.total_records += len(at)
-    stats.skipped_malformed += malformed
+    stats.skipped_malformed += len(at) - len(keep) - non_ip
     stats.skipped_non_ip += non_ip
-    stats.valid_ip_packets += len(at) - malformed - non_ip
-    keep = np.flatnonzero(version)
-    version, src_at = version[keep], src_at[keep]
+    stats.valid_ip_packets += len(keep)
+    version, is_v4 = version[keep].astype(np.uint8), is_v4[keep]
+    src_at = ip[keep] + np.where(is_v4, 12, 8)
     return PacketBatch(timestamp_us[keep], version, rows16[src_at],
-                       rows16[src_at + np.where(version == 4, 4, 16)])
+                       rows16[src_at + np.where(is_v4, 4, 16)])
 
 
-def _dissect(buf, linktype):
-    """Locate the addresses of one captured frame as (version, offset of the
-    source address); the destination address follows the source.
+def _words(buf, at):
+    """The big-endian 16-bit words at offsets ``at`` of ``buf``."""
+    return buf[at].astype(np.uint16) << 8 | buf[at + 1]
 
-    Returns None for malformed frames (too short to hold the indicated
-    headers) and 0 for frames positively identified as non-IP.
+
+def _skip_tags(buf):
+    """[i] is the first of offsets i, i + 4, i + 8, ... whose word is not the
+    802.1Q EtherType: where an EtherType read at i lies past its tags.
+
+    Each offset class mod 4 is one column of a grid, and a running minimum
+    up each column finds the end of every run of tags in one pass.
     """
-    if linktype == LINKTYPE_RAW_IP:  # the record starts at the IP header
-        if not buf:
-            return None
-        off = 0
-        version = buf[0] >> 4
-    else:
-        off = 12 if linktype == LINKTYPE_ETHERNET else 14  # Linux SLL
-        while True:  # unwrap any number of 802.1Q tags
-            if off + 2 > len(buf):
-                return None
-            ethertype = (buf[off] << 8) | buf[off + 1]
-            off += 2
-            if ethertype != ETHERTYPE_VLAN:
-                break
-            off += 2  # tag control info, then the inner EtherType
-        version = (4 if ethertype == ETHERTYPE_IPV4
-                   else 6 if ethertype == ETHERTYPE_IPV6 else 0)
-
-    if version not in _ADDRESS_LAYOUT:
-        return 0
-    src_at, header_len = _ADDRESS_LAYOUT[version]
-    if off + header_len > len(buf) or buf[off] >> 4 != version:
-        return None
-    return version, off + src_at
+    n = (len(buf) - 1) // 4 * 4
+    tagged = (buf[:n].astype(np.uint16) << 8 | buf[1 : n + 1]) == ETHERTYPE_VLAN
+    untagged_at = np.where(tagged, n, np.arange(n, dtype=np.int32))
+    return np.minimum.accumulate(untagged_at[::-1].reshape(-1, 4)).ravel()[::-1]

@@ -767,6 +767,18 @@ def test_watch_line_break_in_name_is_a_failed_capture(watch_setup, fixed_key,
     assert len(tmf_files(out_dir)) == 1
 
 
+def test_watch_missing_output_dir_is_a_failed_capture(watch_setup, fixed_key):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    drop("good.pcap", seed=13)
+    cfg = cli.parse_config(cfg_path)
+    out_dir.rmdir()
+    with tempfile.TemporaryFile("w+") as log:
+        cli.watch_loop(cfg, fixed_key, _StopAfterPolls(2), log=log)
+        log.seek(0)
+        # Logged once: the failure is recorded, so the second poll skips it.
+        assert log.read().count("[watch] good.pcap: conversion failed: ") == 1
+
+
 def test_watch_journals_names_that_are_not_utf8(watch_setup, fixed_key):
     in_dir, out_dir, cfg_path, drop = watch_setup
     drop(os.fsdecode(b"caf\xe9.pcap"), seed=13)

@@ -134,6 +134,9 @@ HOSTS6 = [f"fd00::{i:x}" for i in range(1, 12)]
 # first chunk edge, and frames longer than the read chunk.
 PAYLOADS = st.one_of(st.integers(0, 40), st.integers(65_380, 65_480),
                      st.sampled_from([1500, 70_000, 140_000]))
+# 802.1Q tag counts: a few, a chain that fills a 64 KiB record, and one that
+# runs past the bytes parsed of a record, which makes it malformed.
+TAGS = st.one_of(st.integers(0, 3), st.sampled_from([40, 16_380, 20_000]))
 
 
 @st.composite
@@ -149,7 +152,7 @@ def records(draw, linktype):
         packet = draw(st.binary(max_size=60))
     ethertype = {"v4": 0x0800, "v6": 0x86DD, "mismatch": 0x86DD, "non-ip": 0x0806,
                  "junk": draw(st.sampled_from([0x0800, 0x86DD, 0x8100]))}[kind]
-    frame = link_frame(linktype, ethertype, draw(st.integers(0, 3)), packet)
+    frame = link_frame(linktype, ethertype, draw(TAGS), packet)
     if draw(st.integers(0, 4)) == 0:  # cut short, e.g. by the snap length
         frame = frame[: draw(st.integers(0, 64))]
     incl = len(frame)

@@ -155,6 +155,11 @@ class _HashingReader:
         self._digest.update(data)
         return data
 
+    def readinto(self, b):
+        n = self._raw.readinto(b)
+        self._digest.update(b[:n])
+        return n
+
 
 def convert_file(
     key: AnonKey,
@@ -435,6 +440,7 @@ def watch_loop(
 
     while True:
         for name, path, mtime_ns in _scan_candidates(cfg, journal, failed):
+            summary = None
             try:
                 if "\n" in name or "\r" in name:
                     raise JournalError(f"{name!r}: the journal cannot record a line break")
@@ -447,13 +453,14 @@ def watch_loop(
                     delete_after=cfg.delete_after_convert,
                     log=log,
                 )
+                append_journal(journal_file, summary["digest"], name)
             except (SensorError, OSError) as exc:
-                if isinstance(exc, FileNotFoundError) and not os.path.lexists(path):
+                if (summary is None and isinstance(exc, FileNotFoundError)
+                        and not os.path.lexists(path)):
                     continue  # vanished between scan and open
                 print(f"[watch] {name}: conversion failed: {exc}", file=log)
                 failed.add((name, mtime_ns))
                 continue
-            append_journal(journal_file, summary["digest"], name)
             journal[name] = summary["digest"]
             print(
                 f"[watch] converted {name} -> "

@@ -5,13 +5,14 @@ Nothing past the IP address fields is decoded; ports, payloads, and
 fragments are deliberately ignored.
 
 Parsing is streaming and batched. The stream is read in chunks of
-``MAX_RECORD_BUFFER`` bytes, and the records that end in a chunk become one
-``PacketBatch`` of numpy columns: the record headers are walked one by one,
-then one vectorized pass classifies every record of the chunk and gathers
-the addresses of its Ethernet, Linux SLL and raw IPv4/IPv6 frames, behind
-any number of 802.1Q tags. Memory use is bounded by one chunk plus one
-carried record (the one cut by the chunk edge; past ``MAX_RECORD_BUFFER``
-body bytes a record is drained, not kept) no matter how large the file is.
+``READ_CHUNK`` (256 KiB) bytes into one buffer reused for the whole capture,
+and the records that end in a chunk become one ``PacketBatch`` of numpy
+columns: the record headers are walked one by one, then one vectorized pass
+classifies every record of the chunk and gathers the addresses of its
+Ethernet, Linux SLL and raw IPv4/IPv6 frames, behind any number of 802.1Q
+tags. Of a longer record only the first ``MAX_RECORD_BUFFER`` (64 KiB) bytes
+are parsed; the rest is drained, not kept. Memory use is bounded by that
+buffer plus one chunk's columns, no matter how large the file is.
 ``CaptureStats`` advance one chunk at a time. A capture cut off mid-record
 (the normal outcome of an interrupted mirror port) is reported through
 ``CaptureStats.truncated_tail`` instead of an error.
@@ -54,11 +55,19 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
 ETHERTYPE_VLAN = 0x8100
 
-# The read chunk, and the cap on the bytes of one record kept for parsing.
-# Address fields sit within the first few dozen bytes of any supported
-# frame; bytes past the cap are drained in chunks so a corrupt incl_len
-# cannot inflate memory use.
+# The read size. One buffer, reused for the whole capture, holds a chunk
+# after the start of the record cut by the previous chunk's edge.
+READ_CHUNK = 256 * 1024
+
+# The cap on the bytes of one record that are parsed. Address fields sit
+# within the first few dozen bytes of any supported frame; bytes past the
+# cap are drained, not kept, so a corrupt incl_len cannot inflate memory use.
 MAX_RECORD_BUFFER = 64 * 1024
+
+# Zero bytes written after the data in the buffer: a 16-byte read at any
+# record or address start stays in the buffer, and every run of 802.1Q tags
+# ends inside it.
+_PAD = bytes(48)
 
 # Offset of a frame's first EtherType, by link type; raw IP has none. An IPv4
 # header is 20 bytes with the source address at 12, an IPv6 header 40 bytes
@@ -98,6 +107,9 @@ class CaptureStats:
 
 def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketBatch], CaptureStats]:
     """Open a classic-PCAP byte stream for streaming packet extraction.
+
+    The stream needs ``read`` and ``readinto``, as a file opened in binary
+    mode or an ``io.BytesIO`` has.
 
     The global header is read and validated immediately; records are decoded
     lazily, one chunk of the stream at a time, as the returned iterator of
@@ -139,54 +151,56 @@ def _read_global_header(stream):
 
 def _iter_batches(stream, stats, byte_order, nanos, linktype):
     incl_len_at = struct.Struct(byte_order + "I").unpack_from
-    carry = b""  # the start of a record cut by the last chunk's edge
+    buf = memoryview(bytearray(RECORD_HEADER_LEN + MAX_RECORD_BUFFER + READ_CHUNK + len(_PAD)))
+    kept = 0  # bytes at the front of buf: the start of a record cut by the last chunk's edge
     while True:
-        chunk = stream.read(MAX_RECORD_BUFFER)
-        if not chunk:
-            stats.truncated_tail = bool(carry)
+        n = stream.readinto(buf[kept : kept + READ_CHUNK])
+        if not n:
+            stats.truncated_tail = kept > 0
             return
-        data = carry + chunk
-        size = len(data)
+        size = kept + n
         starts = []
         record_at = starts.append
         off = 0
         while off + RECORD_HEADER_LEN <= size:
-            end = off + RECORD_HEADER_LEN + incl_len_at(data, off + 8)[0]
+            end = off + RECORD_HEADER_LEN + incl_len_at(buf, off + 8)[0]
             if end > size:
                 break
             record_at(off)
             off = end
-        carry = data[off:]
+        kept = size - off
 
         truncated = False
-        if len(carry) >= RECORD_HEADER_LEN + MAX_RECORD_BUFFER:
+        if kept >= RECORD_HEADER_LEN + MAX_RECORD_BUFFER:
             # Parsing reads only the first MAX_RECORD_BUFFER bytes of this
             # record, all in hand: drain the rest without keeping it.
-            remaining = RECORD_HEADER_LEN + incl_len_at(carry, 8)[0] - len(carry)
+            remaining = RECORD_HEADER_LEN + incl_len_at(buf, off + 8)[0] - kept
             while remaining > 0 and (part := stream.read(min(remaining, MAX_RECORD_BUFFER))):
                 remaining -= len(part)
             truncated = remaining > 0
             if not truncated:
                 starts.append(off)
-                carry = b""
+                kept = 0
         if starts:
-            yield _parse_records(data, starts, stats, byte_order, nanos, linktype)
+            buf[size : size + len(_PAD)] = _PAD
+            yield _parse_records(buf, size, starts, stats, byte_order, nanos, linktype)
         if truncated:
             stats.truncated_tail = True
             return
+        buf[:kept] = buf[off : off + kept]
 
 
-def _parse_records(data, starts, stats, byte_order, nanos, linktype):
-    """The batch of the records whose headers start at ``starts`` in ``data``.
+def _parse_records(data, size, starts, stats, byte_order, nanos, linktype):
+    """The batch of the records whose headers start at ``starts`` in the
+    first ``size`` bytes of ``data``, which ``_PAD`` follows.
 
     Every record is classified at once. It is framed if its EtherType, past
     any 802.1Q tags (for raw IP: its version byte), lies in its first
     ``MAX_RECORD_BUFFER`` bytes; a framed record is non-IP, or valid if it
     holds a whole IP header of the version it names. All else is malformed.
+    Every column of the batch is a copy, never a view into ``data``.
     """
-    # Zero padding: a 16-byte read at any record or address start stays in
-    # the buffer, and every run of 802.1Q tags ends inside it.
-    buf = np.frombuffer(data + bytes(48), np.uint8)
+    buf = np.frombuffer(data, np.uint8, size + len(_PAD))
     rows16 = np.ndarray((len(buf) - 15, 16), np.uint8, buf, 0, (1, 1))  # [i] is buf[i:i + 16]
     at = np.fromiter(starts, np.int64, len(starts))
     ts_sec, ts_frac, incl_len, orig_len = rows16[at].view(byte_order + "u4").T

@@ -779,6 +779,24 @@ def test_watch_missing_output_dir_is_a_failed_capture(watch_setup, fixed_key):
         assert log.read().count("[watch] good.pcap: conversion failed: ") == 1
 
 
+@pytest.mark.parametrize("delete_after", [False, True])
+def test_watch_journal_failure_is_a_failed_capture(watch_setup, fixed_key, old_mtime,
+                                                   delete_after):
+    # A header-only capture converts without touching output_dir, so the
+    # journal append is the first write to fail there; a capture deleted by
+    # its conversion has not vanished.
+    in_dir, out_dir, cfg_path, _ = watch_setup
+    (in_dir / "empty.pcap").write_bytes(pcap_header())
+    old_mtime(in_dir / "empty.pcap")
+    cfg = cli.parse_config(cfg_path)
+    cfg.delete_after_convert = delete_after
+    out_dir.rmdir()
+    with tempfile.TemporaryFile("w+") as log:
+        cli.watch_loop(cfg, fixed_key, _StopAfterPolls(2), log=log)
+        log.seek(0)
+        assert log.read().count("[watch] empty.pcap: conversion failed: ") == 1
+
+
 def test_watch_journals_names_that_are_not_utf8(watch_setup, fixed_key):
     in_dir, out_dir, cfg_path, drop = watch_setup
     drop(os.fsdecode(b"caf\xe9.pcap"), seed=13)

@@ -17,7 +17,7 @@ from tmsensor.matrix import (
     build_windows,
     merge,
 )
-from tmsensor.pcap import MAX_RECORD_BUFFER, PacketBatch, parse_pcap
+from tmsensor.pcap import READ_CHUNK, PacketBatch, parse_pcap
 
 from conftest import (
     Packet,
@@ -179,7 +179,7 @@ def mixed_capture(packets: int, seed: int) -> bytes:
                                           f"fd00::{rng.randrange(40):x}"), ethertype=0x86DD)
         else:
             frame = eth_frame(ipv4_packet(f"10.0.0.{rng.randrange(60)}",
-                                          f"10.0.1.{rng.randrange(60)}", b"x" * 20))
+                                          f"10.0.1.{rng.randrange(60)}", b"x" * 250))
         out += pcap_record(frame, ts_sec=rng.randrange(1 << 20), ts_frac=i)
     return bytes(out)
 
@@ -187,7 +187,7 @@ def mixed_capture(packets: int, seed: int) -> bytes:
 @pytest.mark.parametrize("window_size", [1, 2, 7, 1024])
 def test_parser_batches_build_equal_windows_through_a_generator(fixed_key, window_size):
     data = mixed_capture(3000, window_size)
-    assert len(data) > 2 * MAX_RECORD_BUFFER  # several parser chunks
+    assert len(data) > 2 * READ_CHUNK  # several parser chunks
     direct = list(build_windows(parse_pcap(io.BytesIO(data))[0], fixed_key, window_size))
 
     def passed_through(batches):  # a plain generator, as a tracing wrapper hands them on

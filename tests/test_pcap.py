@@ -8,7 +8,7 @@ import pytest
 from tmsensor.errors import BadMagic, PcapngUnsupported, UnsupportedLinkType
 from tmsensor.pcap import (
     GLOBAL_HEADER_LEN,
-    MAX_RECORD_BUFFER,
+    READ_CHUNK,
     RECORD_HEADER_LEN,
     parse_pcap,
 )
@@ -279,16 +279,21 @@ class _BoundedReader(io.BytesIO):
         _BoundedReader.max_request = max(_BoundedReader.max_request, n)
         return super().read(n)
 
+    def readinto(self, b):
+        _BoundedReader.max_request = max(_BoundedReader.max_request, len(b))
+        return super().readinto(b)
+
 
 def test_oversized_record_is_read_in_bounded_chunks():
-    big = eth_frame(ipv4_packet("10.0.0.1", "10.0.0.2", b"z" * 200_000))
+    big = eth_frame(ipv4_packet("10.0.0.1", "10.0.0.2", b"z" * 3 * READ_CHUNK))
     data = pcap_header() + pcap_record(big) + pcap_record(
         eth_frame(ipv4_packet("10.0.0.3", "10.0.0.4"))
     )
     _BoundedReader.max_request = 0
     batches, stats = parse_pcap(_BoundedReader(data))
     list(batches)
-    assert _BoundedReader.max_request <= MAX_RECORD_BUFFER
+    # Fixed, whatever the record's incl_len.
+    assert 0 < _BoundedReader.max_request <= READ_CHUNK
     assert stats.valid_ip_packets == 2
 
 

@@ -8,14 +8,17 @@ into one Packet each for the comparison.
 """
 
 import io
+import random
 import struct
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tmsensor.pcap import (
     GLOBAL_HEADER_LEN,
     MAX_RECORD_BUFFER,
+    READ_CHUNK,
     RECORD_HEADER_LEN,
     CaptureStats,
     _read_global_header,
@@ -130,10 +133,12 @@ def link_frame(linktype: int, ethertype: int, vlans: int, packet: bytes) -> byte
 
 HOSTS4 = [f"10.0.{i // 4}.{i}" for i in range(1, 12)]
 HOSTS6 = [f"fd00::{i:x}" for i in range(1, 12)]
-# Payload sizes: small frames, a frame that pushes the next records across the
-# first chunk edge, and frames longer than the read chunk.
+# Payload sizes: small frames, frames just under the cap on the bytes parsed,
+# a frame that pushes the next records across the first read-chunk edge, and
+# frames longer than the cap or the read chunk.
 PAYLOADS = st.one_of(st.integers(0, 40), st.integers(65_380, 65_480),
-                     st.sampled_from([1500, 70_000, 140_000]))
+                     st.integers(READ_CHUNK - 120, READ_CHUNK - 20),
+                     st.sampled_from([1500, 70_000, 140_000, 300_000]))
 # 802.1Q tag counts: a few, a chain that fills a 64 KiB record, and one that
 # runs past the bytes parsed of a record, which makes it malformed.
 TAGS = st.one_of(st.integers(0, 3), st.sampled_from([40, 16_380, 20_000]))
@@ -189,10 +194,10 @@ def straddling_capture(last_payload: int, linktype=ETHERNET) -> tuple[bytes, int
         link_frame(linktype, 0x86DD, 0, ipv6_packet("fd00::1", "fd00::2", b"x" * 40)))
     # Fill up to 20 bytes before the edge, which sits one chunk past the
     # global header.
-    filler_len = GLOBAL_HEADER_LEN + MAX_RECORD_BUFFER - 20 - len(head) - RECORD_HEADER_LEN
+    filler_len = GLOBAL_HEADER_LEN + READ_CHUNK - 20 - len(head) - RECORD_HEADER_LEN
     filler = pcap_record(link_frame(linktype, 0x0806, 0, b"f" * (filler_len - 14)))
     start = len(head) + len(filler)
-    assert start == GLOBAL_HEADER_LEN + MAX_RECORD_BUFFER - 20
+    assert start == GLOBAL_HEADER_LEN + READ_CHUNK - 20
     return head + filler + last, start
 
 
@@ -203,10 +208,72 @@ def test_cut_at_every_offset_of_a_record_across_the_chunk_edge():
 
 
 def test_cut_inside_a_record_longer_than_the_chunk():
-    data, start = straddling_capture(3 * MAX_RECORD_BUFFER)
+    data, start = straddling_capture(3 * READ_CHUNK)
     body = start + RECORD_HEADER_LEN
+    second_edge = GLOBAL_HEADER_LEN + 2 * READ_CHUNK  # where the drain begins
     ends = [*range(start, body + 64), *range(body + MAX_RECORD_BUFFER - 64,
                                             body + MAX_RECORD_BUFFER + 64),
+            *range(second_edge - 64, second_edge + 64),
             *range(len(data) - 64, len(data) + 1), *range(body, len(data), 4099)]
     for end in ends:
         assert parse_all(data[:end]) == reference_parse(data[:end]), end
+
+
+def test_records_longer_than_the_cap_inside_one_chunk():
+    # Each long record ends inside the first read chunk, so only the cap,
+    # never a drain, keeps its bytes past MAX_RECORD_BUFFER from being parsed.
+    small = pcap_record(link_frame(ETHERNET, 0x0800, 0, ipv4_packet("10.0.0.1", "10.0.0.2")))
+    long_v6 = link_frame(ETHERNET, 0x86DD, 2,
+                         ipv6_packet("fd00::1", "fd00::2") + b"y" * 2 * MAX_RECORD_BUFFER)
+    tags_past_cap = link_frame(ETHERNET, 0x0800, MAX_RECORD_BUFFER // 4,
+                               ipv4_packet("10.0.0.3", "10.0.0.4"))
+    data = (pcap_header() + small + pcap_record(long_v6) + small
+            + pcap_record(tags_past_cap) + small)
+    assert len(tags_past_cap) > MAX_RECORD_BUFFER and len(data) < READ_CHUNK
+    records, stats = parse_all(data)
+    assert (records, stats) == reference_parse(data)
+    assert (stats.valid_ip_packets, stats.skipped_malformed) == (4, 1)
+
+
+class _ShortReader(io.BytesIO):
+    """Stream whose readinto fills at most ``k`` bytes per call."""
+
+    def __init__(self, data, k):
+        super().__init__(data)
+        self.k = k
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[: self.k])
+
+
+def mixed_capture(seed: int) -> bytes:
+    """Ethernet records of every kind, long ones included, over several read
+    chunks, with a cut tail."""
+    rng = random.Random(seed)
+    out = bytearray(pcap_header())
+    while len(out) < 2 * READ_CHUNK + 5000:
+        kind = rng.choice(["v4", "v6", "non-ip", "short", "long", "tagged"])
+        ethertype = 0x86DD if kind == "v6" else 0x0806 if kind == "non-ip" else 0x0800
+        packet = (ipv6_packet(rng.choice(HOSTS6), rng.choice(HOSTS6)) if kind == "v6"
+                  else ipv4_packet(rng.choice(HOSTS4), rng.choice(HOSTS4)))
+        frame = link_frame(ETHERNET, ethertype, rng.randrange(1, 4) if kind == "tagged" else 0,
+                           packet + b"p" * (rng.choice([70_000, 140_000]) if kind == "long"
+                                            else rng.randrange(200)))
+        if kind == "short":
+            frame = frame[: rng.randrange(40)]
+        out += pcap_record(frame, rng.randrange(1 << 32), rng.randrange(1_000_000))
+    return bytes(out[:-7])
+
+
+@pytest.mark.parametrize("k", [1, 7, 4096, READ_CHUNK])
+def test_short_reads_give_the_same_batches(k):
+    # Every batch is held until the end, so a column that aliased the
+    # parser's reused buffer would read later bytes.
+    data = mixed_capture(5)
+    batches, stats = parse_pcap(io.BytesIO(data))
+    whole = list(batches)
+    short_batches, short_stats = parse_pcap(_ShortReader(data, k))
+    short = list(short_batches)
+    assert (records_of(short), short_stats) == (records_of(whole), stats)
+    assert (records_of(whole), stats) == reference_parse(data)
+    assert stats.truncated_tail and stats.skipped_non_ip and stats.skipped_malformed

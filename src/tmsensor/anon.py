@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EntropyUnavailable, KeyFileError, LengthMismatch
+from .streams import read_full
 
 KEY_LEN = 32
 KEY_ID_LEN = 8
@@ -92,7 +93,7 @@ def save_key(key: AnonKey, stream) -> None:
 
 def load_key(stream) -> AnonKey:
     """Read a key file; raises KeyFileError if it is not one."""
-    data = stream.read(KEY_FILE_LEN + 1)
+    data = read_full(stream, KEY_FILE_LEN + 1)
     if len(data) != KEY_FILE_LEN:
         raise KeyFileError(f"key file must be exactly {KEY_FILE_LEN} bytes")
     if data[:4] != KEY_FILE_MAGIC:

@@ -215,11 +215,7 @@ def convert_file(
                             break  # this output already exists, e.g. before a crash
             finally:
                 os.unlink(tmp_path)
-            dir_fd = os.open(out_dir, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            _fsync_dir(out_dir)
     pcap_bytes = os.stat(pcap_path).st_size
 
     if stats.truncated_tail:
@@ -241,6 +237,14 @@ def convert_file(
         "tmf_bytes": tmf_bytes,
         "digest": digest.hexdigest(),
     }
+
+
+def _fsync_dir(path: str) -> None:
+    dir_fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 # --- subcommands ---
@@ -386,10 +390,13 @@ def load_journal(path: str) -> dict[str, str]:
 
 
 def append_journal(path: str, digest: str, name: str) -> None:
+    created = not os.path.exists(path)
     with open(path, "a", encoding="utf-8", errors="surrogateescape") as f:
         f.write(f"{digest} {name}\n")
         f.flush()
         os.fsync(f.fileno())
+    if created:  # the new journal's directory entry must be durable too
+        _fsync_dir(os.path.dirname(path) or os.curdir)
 
 
 def _scan_candidates(cfg: SensorConfig, journal, failed):

@@ -33,8 +33,9 @@ DEFAULT_WINDOW_SIZE = 1 << 17  # 131,072 packets
 MIN_WINDOW_SIZE = 1 << 10
 MAX_WINDOW_SIZE = 1 << 24
 
-# Pseudonyms memoized across windows; past this many the memo is dropped at
-# the next window boundary, so its memory stays bounded on any capture.
+# Pseudonyms memoized across batches; past this many the memo is dropped
+# after the batch that passed it, so it holds at most this many plus one
+# batch's distinct addresses on any capture.
 _ID_MEMO_LIMIT = 1 << 17
 
 
@@ -148,11 +149,12 @@ def build_windows(
     packet_count. Output is identical however the packets are split into
     batches.
 
-    Each batch is sliced at window boundaries, and each slice's cells are
-    counted with a sort and folded into the open window, so memory holds the
-    window's distinct cells and one batch, never a per-packet array of a
-    whole window. A batch holding an IP version other than 4 or 6 raises
-    ValueError.
+    Each batch's addresses are pseudonymized once, through a memo kept
+    across batches. The batch's pseudonym columns are then sliced at window
+    boundaries, and each slice's cells are counted with a sort and folded
+    into the open window, so memory holds the window's distinct cells and
+    one batch, never a per-packet array of a whole window. A batch holding
+    an IP version other than 4 or 6 raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -169,6 +171,11 @@ def build_windows(
         if unknown.any():
             raise ValueError(
                 f"ip_version must be 4 or 6, got {batch.ip_version[unknown][0]}")
+        src_ids, dst_ids = _pseudonyms(key, memos, batch.ip_version,
+                                       batch.src_ip, batch.dst_ip)
+        if sum(map(len, memos)) > _ID_MEMO_LIMIT:
+            for memo in memos:
+                memo.clear()
         n = len(batch.timestamp_us)
         lo = 0
         while lo < n:
@@ -176,9 +183,7 @@ def build_windows(
             ts = batch.timestamp_us[lo:hi]
             t_min = min(t_min, int(ts.min())) if count else int(ts.min())
             t_max = max(t_max, int(ts.max())) if count else int(ts.max())
-            sid, did = _pseudonyms(key, memos, batch.ip_version[lo:hi],
-                                   batch.src_ip[lo:hi], batch.dst_ip[lo:hi])
-            cells = _sum_cells([sid, did, np.ones(hi - lo, np.uint64)])
+            cells = _sum_cells([src_ids[lo:hi], dst_ids[lo:hi], np.ones(hi - lo, np.uint64)])
             if parts:
                 loose += len(cells[0])
             parts.append(cells)
@@ -190,9 +195,6 @@ def build_windows(
 
             if count == window_size:
                 yield _close(window_size, count, t_min, t_max, key_id, parts)
-                if sum(map(len, memos)) > _ID_MEMO_LIMIT:
-                    for memo in memos:
-                        memo.clear()
                 count = loose = 0
 
     if count:
@@ -215,35 +217,27 @@ def _close(window_size, count, t_min, t_max, key_id, parts):
 
 
 class _Memo:
-    """Pseudonyms of the addresses of one IP version, in sorted arrays.
-
-    New pseudonyms go to a small sorted run that is folded into the large
-    one when it grows past about the square root of the large one's size
-    times the misses per lookup, so neither lookups nor inserts cost a pass
-    over the whole memo each time.
-    """
+    """Pseudonyms of the addresses of one IP version, in one sorted run."""
 
     def __init__(self, version: int, dtype: str):
         self.version, self.dtype = version, np.dtype(dtype)  # an address's bytes as one key
         self.clear()
 
     def clear(self) -> None:
-        empty = (np.empty(0, self.dtype), np.empty(0, np.uint64))
-        self.runs = [empty, empty]
+        self.run = (np.empty(0, self.dtype), np.empty(0, np.uint64))
 
     def __len__(self) -> int:
-        return sum(len(keys) for keys, _ in self.runs)
+        return len(self.run[0])
 
     def pseudonyms(self, key: AnonKey, addrs: np.ndarray) -> np.ndarray:
         """The pseudonyms of distinct, sorted addresses; misses are hashed."""
+        keys, values = self.run
         ids = np.empty(len(addrs), np.uint64)
         found = np.zeros(len(addrs), bool)
-        for keys, values in self.runs:
-            if len(keys):
-                at = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
-                hit = keys[at] == addrs
-                ids[hit] = values[at[hit]]
-                found |= hit
+        if len(keys):
+            at = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
+            found = keys[at] == addrs
+            ids[found] = values[at[found]]
         miss = np.flatnonzero(~found)
         if len(miss):
             new_keys = addrs[miss]
@@ -251,13 +245,7 @@ class _Memo:
                 map(anonymize_ip, itertools.repeat(key), itertools.repeat(self.version),
                     new_keys.view(f"V{self.dtype.itemsize}").tolist()), np.uint64, len(miss))
             ids[miss] = new_ids
-            (big_keys, big_ids), recent = self.runs
-            recent = _insert_sorted(recent, new_keys, new_ids)
-            if len(recent[0]) ** 2 > len(big_keys) * len(miss):
-                self.runs = [_insert_sorted((big_keys, big_ids), *recent),
-                             (new_keys[:0], new_ids[:0])]
-            else:
-                self.runs[1] = recent
+            self.run = _insert_sorted(self.run, new_keys, new_ids)
         return ids
 
 
@@ -276,7 +264,7 @@ def _insert_sorted(run, keys, values):
 
 
 def _pseudonyms(key, memos, versions, src, dst):
-    """The pseudonyms of one slice's source and destination addresses."""
+    """The pseudonyms of one batch's source and destination addresses."""
     n = len(versions)
     addrs, versions = np.concatenate((src, dst)), np.concatenate((versions, versions))
     ids = np.empty(2 * n, np.uint64)

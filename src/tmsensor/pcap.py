@@ -30,6 +30,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 import numpy as np
 
 from .errors import BadMagic, PcapngUnsupported, UnsupportedLinkType
+from .streams import read_full
 
 # Global header: magic u32, version u16.u16, thiszone i32, sigfigs u32,
 # snaplen u32, linktype u32. Record header: ts_sec u32, ts_frac u32,
@@ -129,7 +130,7 @@ def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketBatch], CaptureStats]:
 
 
 def _read_global_header(stream):
-    magic = stream.read(4)
+    magic = read_full(stream, 4)
     if magic == _PCAPNG_MAGIC:
         raise PcapngUnsupported(
             "pcapng input is not supported; convert to classic PCAP first"
@@ -138,7 +139,7 @@ def _read_global_header(stream):
         raise BadMagic(f"not a PCAP file (magic {magic.hex() or 'empty'})")
     byte_order, nanos = _MAGIC_BYTES[magic]
 
-    rest = stream.read(GLOBAL_HEADER_LEN - 4)
+    rest = read_full(stream, GLOBAL_HEADER_LEN - 4)
     if len(rest) < GLOBAL_HEADER_LEN - 4:
         return None
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, linktype = struct.unpack(

@@ -37,6 +37,7 @@ from .errors import (
     WindowSizeMismatch,
 )
 from .matrix import TrafficMatrix
+from .streams import read_full
 
 MAGIC = b"GTM1"
 FORMAT_VERSION = 1
@@ -58,9 +59,6 @@ _MAX_TRIPLE_LEN = 30
 
 # Raw deflate emits at most 258 bytes per 2 bits of input.
 _MAX_INFLATE_RATIO = 1032
-
-# Largest single read of a block payload; payload_len comes from the file.
-_READ_CHUNK = 1 << 20
 
 
 class TmfBlockHeader(NamedTuple):
@@ -137,7 +135,7 @@ def _blocks(source: BinaryIO) -> Iterator[tuple[TmfBlockHeader, bytes]]:
     """The one block-framing loop: each block's parsed header and raw payload."""
     first = True
     while True:
-        raw = source.read(HEADER_LEN)
+        raw = read_full(source, HEADER_LEN)
         if not raw and not first:
             return
         header = _parse_header(raw, first)
@@ -146,15 +144,10 @@ def _blocks(source: BinaryIO) -> Iterator[tuple[TmfBlockHeader, bytes]]:
 
 
 def _read_payload(source: BinaryIO, size: int) -> bytes:
-    """Read size bytes in bounded chunks, so memory follows the bytes present."""
-    parts = []
-    while size > 0:
-        part = source.read(min(size, _READ_CHUNK))
-        if not part:
-            raise CorruptPayload("file ends inside a block payload")
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+    payload = read_full(source, size)
+    if len(payload) < size:
+        raise CorruptPayload("file ends inside a block payload")
+    return payload
 
 
 def _parse_header(header: bytes, first: bool) -> TmfBlockHeader:

@@ -829,6 +829,24 @@ def test_journal_round_trips_every_name(entries):
         assert cli.load_journal(path) == entries
 
 
+def test_creating_the_journal_fsyncs_its_directory(tmp_path, monkeypatch):
+    synced = []  # per fsync call: whether the fd is a directory
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    path = str(tmp_path / "tmsensor.journal")
+    cli.append_journal(path, "ab" * 32, "one.pcap")
+    assert synced == [False, True]
+    synced.clear()
+    cli.append_journal(path, "cd" * 32, "two.pcap")
+    cli.append_journal(path, "ef" * 32, "three.pcap")
+    assert synced == [False, False]
+
+
 def test_watch_malformed_journal_is_data_error(watch_setup, capsys):
     in_dir, out_dir, cfg, drop = watch_setup
     (out_dir / "tmsensor.journal").write_text("definitely not a journal\n")

@@ -11,6 +11,7 @@ import io
 import random
 import struct
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from conftest import (
     pcap_header,
     pcap_record,
     random_matrix,
+    records_of,
     sll_frame,
 )
 
@@ -199,6 +201,55 @@ def load_key_bytes(data: bytes):
     lambda args: mutate(*args)))
 def test_load_key_only_raises_sensor_errors(data):
     rejects_only_with_sensor_error(load_key_bytes, data)
+
+
+# --- short reads ---
+
+class _TrickleReader(io.BytesIO):
+    """Stream whose read and readinto return 1 to k bytes per call, as a
+    pipe, a socket or a file opened with buffering=0 may."""
+
+    def __init__(self, data: bytes, k: int, seed: int):
+        super().__init__(data)
+        self.k, self.rng = k, random.Random(seed)
+
+    def _short(self, n: int) -> int:
+        return min(n, self.rng.randint(1, self.k))
+
+    def read(self, n=-1):
+        return super().read(self._short(n))  # n < 0 still reads to the end
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[: self._short(len(b))])
+
+
+def parsed_pcap(stream):
+    batches, stats = parse_pcap(stream)
+    return records_of(batches), stats
+
+
+READERS = [
+    (parsed_pcap, VALID_PCAP),
+    (read_tmf, VALID_TMF),
+    (load_key, [_key_file_bytes()]),
+]
+
+
+def outcome(reader, stream):
+    """The reader's result, or the class of the SensorError it raised."""
+    try:
+        return reader(stream)
+    except SensorError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("reader, valid", READERS, ids=["pcap", "tmf", "key"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 64), seed=st.integers(0, 1 << 32))
+def test_short_reads_give_the_same_outcome(reader, valid, data, k, seed):
+    raw = data.draw(st.sampled_from(valid) | st.tuples(st.sampled_from(valid), edits).map(
+        lambda args: mutate(*args)))
+    assert outcome(reader, _TrickleReader(raw, k, seed)) == outcome(reader, io.BytesIO(raw))
 
 
 # --- journal and config files ---

@@ -163,10 +163,27 @@ def test_address_memo_is_dropped_past_its_bound(fixed_key, monkeypatch):
         for i in range(1 << 24, (1 << 24) + limit + 2, 2)
     )
     packets = [first, *fresh, first]
-    list(build_windows([batch(packets)], fixed_key, 2))
+    # The repeat comes in a second batch: within one batch it would share
+    # the first one's lookup.
+    list(build_windows([batch(packets[:-1]), batch(packets[-1:])], fixed_key, 2))
     # Only `first`'s two addresses repeat, and each is hashed again.
     assert calls.count(first.src_ip) == calls.count(first.dst_ip) == 2
     assert len(calls) == 2 * len(packets)
+
+
+def test_each_batch_is_pseudonymized_once(fixed_key, monkeypatch):
+    calls = []
+    pseudonyms = matrix._pseudonyms
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return pseudonyms(*args)
+
+    monkeypatch.setattr(matrix, "_pseudonyms", counted)
+    pairs = [((10, 0, 0, i % 7), (10, 0, 1, i % 5)) for i in range(1000)]
+    windows = list(build_windows(stream(pairs), fixed_key, 2))
+    assert len(windows) == 500
+    assert calls == [1000]
 
 
 def mixed_capture(packets: int, seed: int) -> bytes:

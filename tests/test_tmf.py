@@ -19,7 +19,7 @@ from tmsensor.errors import (
     WindowSizeMismatch,
 )
 from tmsensor.matrix import TrafficMatrix
-from tmsensor import tmf
+from tmsensor.streams import MAX_READ
 from tmsensor.tmf import (
     HEADER_LEN,
     MAGIC,
@@ -314,7 +314,7 @@ def test_payload_is_read_in_bounded_chunks():
     with pytest.raises(CorruptPayload, match="ends inside a block payload"):
         read_tmf(source)
     assert len(source.requests) > 4  # the header, three full chunks, then EOF
-    assert all(0 <= n <= tmf._READ_CHUNK for n in source.requests)
+    assert all(0 <= n <= MAX_READ for n in source.requests)
 
 
 def test_payload_larger_than_one_chunk_reads_back():
@@ -322,7 +322,7 @@ def test_payload_larger_than_one_chunk_reads_back():
     entries = {(rng.randrange(1 << 64), rng.randrange(1 << 64)): 1 for _ in range(60_000)}
     m = TrafficMatrix.from_entries(1 << 17, len(entries), 1, 2, KEY_ID, entries)
     data = write_bytes([m], compress=False)
-    assert len(data) - HEADER_LEN > tmf._READ_CHUNK
+    assert len(data) - HEADER_LEN > MAX_READ
     assert read_bytes(data) == [m]
 
 

@@ -19,7 +19,6 @@ import os
 import re
 import signal
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
@@ -194,14 +193,15 @@ def convert_file(
         first = next(windows, None)
         if first is not None:
             hour = first.start_time_us // _US_PER_HOUR
-            tmp_fd, tmp_path = tempfile.mkstemp(
-                dir=out_dir, prefix=".part-", suffix=".tmf"
-            )
+            while True:  # a new file, so the kernel applies the umask to its mode
+                tmp_path = os.path.join(out_dir, f".part-{os.urandom(8).hex()}.tmf")
+                try:
+                    tmp_fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    continue
             try:
                 with os.fdopen(tmp_fd, "wb") as out:
-                    umask = os.umask(0)
-                    os.umask(umask)
-                    os.fchmod(out.fileno(), 0o666 & ~umask)  # mkstemp forces 0600
                     tmf_bytes = write_tmf(itertools.chain([first], windows), out)
                     out.flush()
                     os.fsync(out.fileno())
@@ -347,8 +347,12 @@ def cmd_synth(args) -> int:
     )
     spec.validate()
     truth_path = args.ground_truth or args.out + ".truth"
-    with open(args.out, "wb") as f:
-        truth = synthesize(spec, f)
+    try:
+        with open(args.out, "wb") as f:
+            truth = synthesize(spec, f)
+    except InvalidSynthSpec:
+        os.unlink(args.out)  # raised before a byte was written
+        raise
     with open(truth_path, "w", encoding="utf-8") as f:
         write_ground_truth(truth, f)
     print(f"pcap={args.out}")

@@ -69,7 +69,7 @@ class TrafficMatrix:
             raise InvariantViolation(
                 "coordinates and counts must fit in 64 bits") from None
         return cls(window_size, packet_count, start_time_us, end_time_us, key_id,
-                   *_sum_cells([cells[0::2], cells[1::2], counts]))
+                   *_sum_cells([(cells[0::2], cells[1::2], counts)]))
 
     @property
     def entries(self) -> Mapping[tuple[int, int], int]:
@@ -151,19 +151,22 @@ def build_windows(
 
     Each batch's addresses are pseudonymized once, through a memo kept
     across batches. The batch's pseudonym columns are then sliced at window
-    boundaries, and each slice's cells are counted with a sort and folded
-    into the open window, so memory holds the window's distinct cells and
-    one batch, never a per-packet array of a whole window. A batch holding
-    an IP version other than 4 or 6 raises ValueError.
+    boundaries. The slices wait in the open window until their packets
+    outnumber the window's summed cells, or the window closes; one sort then
+    sums them together with those cells. So every sort but the closing one
+    takes in fewer than twice its new packets, and memory holds the window's
+    distinct cells, at most as many waiting packets and one batch, never a
+    per-packet array of a whole window. A batch holding an IP version other
+    than 4 or 6 raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     key_id = key.key_id
     memos = (_Memo(4, ">u4"), _Memo(6, "V16"))
-    # The open window's cells: the folded ones, then one part per slice since
-    # the last fold, which holds `loose` cells.
+    # The open window: its `cells` summed cells, once there are any, then one
+    # (src, dst, ones) part per slice since, holding `waiting` packets.
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    count = loose = 0
+    count = waiting = cells = 0
     t_min = t_max = 0
 
     for batch in batches:
@@ -183,37 +186,21 @@ def build_windows(
             ts = batch.timestamp_us[lo:hi]
             t_min = min(t_min, int(ts.min())) if count else int(ts.min())
             t_max = max(t_max, int(ts.max())) if count else int(ts.max())
-            cells = _sum_cells([src_ids[lo:hi], dst_ids[lo:hi], np.ones(hi - lo, np.uint64)])
-            if parts:
-                loose += len(cells[0])
-            parts.append(cells)
-            if loose > len(parts[0][0]):  # so parts hold at most twice the folded cells
-                _fold(parts)
-                loose = 0
+            parts.append((src_ids[lo:hi], dst_ids[lo:hi], np.ones(hi - lo, np.uint64)))
             count += hi - lo
+            waiting += hi - lo
             lo = hi
 
             if count == window_size:
-                yield _close(window_size, count, t_min, t_max, key_id, parts)
-                count = loose = 0
+                yield TrafficMatrix(window_size, count, t_min, t_max, key_id,
+                                    *_sum_cells(parts))
+                count = waiting = cells = 0
+            elif waiting > cells:
+                parts.append(_sum_cells(parts))
+                waiting, cells = 0, len(parts[0][0])
 
     if count:
-        yield _close(window_size, count, t_min, t_max, key_id, parts)
-
-
-def _fold(parts):
-    """Sum a window's cell parts into one, in place."""
-    if len(parts) > 1:
-        columns = [np.concatenate(column) for column in zip(*parts)]
-        parts.clear()
-        parts.append(_sum_cells(columns))
-
-
-def _close(window_size, count, t_min, t_max, key_id, parts):
-    """The open window as a matrix; empties ``parts``, so that the window's
-    cells are not held twice while the caller uses the matrix."""
-    _fold(parts)
-    return TrafficMatrix(window_size, count, t_min, t_max, key_id, *parts.pop())
+        yield TrafficMatrix(window_size, count, t_min, t_max, key_id, *_sum_cells(parts))
 
 
 class _Memo:
@@ -277,10 +264,13 @@ def _pseudonyms(key, memos, versions, src, dst):
     return ids[:n], ids[n:]
 
 
-def _sum_cells(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort cells given as [rows, cols, counts] by (row, col) and add up the
-    counts of equal cells. Empties ``columns``: each unsorted array is freed
-    as soon as its sorted copy exists."""
+def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the cells of ``parts``, each a (rows, cols, counts) triple, by
+    (row, col) and add up the counts of equal cells. Empties ``parts``, and
+    frees each unsorted column as soon as its sorted copy exists."""
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    parts.clear()
     order = np.lexsort((columns[1], columns[0]))
     for i, column in enumerate(columns):
         columns[i] = column[order]
@@ -314,8 +304,7 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
     if packets >> 64:
         raise InvariantViolation(f"merged packet_count {packets} does not fit in 64 bits")
 
-    cells = _sum_cells([np.concatenate([getattr(m, name) for m in ms])
-                        for name in ("rows", "cols", "counts")])
+    cells = _sum_cells([(m.rows, m.cols, m.counts) for m in ms])
     nonempty = [m for m in ms if m.packet_count]
     start = min((m.start_time_us for m in nonempty), default=0)
     end = max((m.end_time_us for m in nonempty), default=0)

@@ -30,6 +30,11 @@ UDP_DST_PORT = 40001
 
 _PCAP_GLOBAL_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
 _MAX_UDP_PAYLOAD = 65507  # fits the IPv4 total-length field
+_TIME_LIMIT_US = 1_000_000 << 32  # past PCAP's 32-bit seconds field
+# The busiest host's largest traffic share. A destination equal to its
+# source is redrawn, and with this share a redraw clashes again in at most
+# 99 of 100 tries, so the redraw loop ends after about 100 rounds per clash.
+_MAX_TOP_SHARE = 0.99
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,12 @@ class SynthSpec:
             raise InvalidSynthSpec("packet_count must be >= 0")
         if not self.zipf_exponent > 0:
             raise InvalidSynthSpec("zipf_exponent must be > 0")
+        top_share = _zipf_weights(self.host_count, self.zipf_exponent)[0]
+        if not top_share <= _MAX_TOP_SHARE:
+            raise InvalidSynthSpec(
+                f"zipf_exponent {self.zipf_exponent} gives the busiest host "
+                f"{top_share:.4%} of the traffic; at most {_MAX_TOP_SHARE:.0%} is allowed"
+            )
         lo, hi = self.payload_len_range
         if not 0 <= lo <= hi <= _MAX_UDP_PAYLOAD:
             raise InvalidSynthSpec(
@@ -60,10 +71,12 @@ class SynthSpec:
             )
         if not 0 <= self.seed < 1 << 64:
             raise InvalidSynthSpec("seed must fit in 64 bits")
-        if self.start_time_us < 0:
-            raise InvalidSynthSpec("start_time_us must be >= 0")
-        if not self.mean_interarrival_us > 0:
-            raise InvalidSynthSpec("mean_interarrival_us must be > 0")
+        if not 0 <= self.start_time_us < _TIME_LIMIT_US:
+            raise InvalidSynthSpec(
+                f"start_time_us must be in [0, {_TIME_LIMIT_US}), PCAP's 32-bit seconds")
+        if not 0 < self.mean_interarrival_us < _TIME_LIMIT_US:
+            raise InvalidSynthSpec(
+                f"mean_interarrival_us must be > 0 and below {_TIME_LIMIT_US}")
 
 
 def synthesize(spec: SynthSpec, sink: BinaryIO) -> dict[tuple[str, str], int]:
@@ -71,7 +84,9 @@ def synthesize(spec: SynthSpec, sink: BinaryIO) -> dict[tuple[str, str], int]:
 
     Deterministic given the seed. Host addresses are distinct picks from
     10.0.0.0/16; src and dst of each packet are Zipf-distributed with
-    src != dst; timestamps are the running sum of exponential gaps.
+    src != dst; timestamps are the running sum of exponential gaps. Raises
+    InvalidSynthSpec before writing anything if the spec is invalid or the
+    drawn timestamps run past PCAP's 32-bit seconds.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -81,14 +96,11 @@ def synthesize(spec: SynthSpec, sink: BinaryIO) -> dict[tuple[str, str], int]:
     host_ips = [bytes([10, 0, off >> 8, off & 0xFF]) for off in offsets]
     host_macs = [b"\x02\x00\x0a\x00" + ip[2:] for ip in host_ips]
 
-    sink.write(_PCAP_GLOBAL_HEADER)
     if n == 0:
+        sink.write(_PCAP_GLOBAL_HEADER)
         return {}
 
-    ranks = np.arange(1, spec.host_count + 1, dtype=np.float64)
-    weights = ranks ** -spec.zipf_exponent
-    weights /= weights.sum()
-
+    weights = _zipf_weights(spec.host_count, spec.zipf_exponent)
     src = rng.choice(spec.host_count, size=n, p=weights)
     dst = rng.choice(spec.host_count, size=n, p=weights)
     clash = src == dst
@@ -99,11 +111,16 @@ def synthesize(spec: SynthSpec, sink: BinaryIO) -> dict[tuple[str, str], int]:
     lo, hi = spec.payload_len_range
     payload_lens = rng.integers(lo, hi + 1, size=n)
     gaps = rng.exponential(spec.mean_interarrival_us, size=n)
-    timestamps = np.floor(np.cumsum(gaps)).astype(np.uint64) + np.uint64(
-        spec.start_time_us
-    )
+    offsets_us = np.floor(np.cumsum(gaps))  # nondecreasing, so the last is the latest
+    if not spec.start_time_us + offsets_us[-1] < _TIME_LIMIT_US:
+        raise InvalidSynthSpec(
+            f"packet timestamps run past PCAP's 32-bit seconds ({_TIME_LIMIT_US} us); "
+            f"lower start_time_us, mean_interarrival_us or packet_count")
+    timestamps = offsets_us.astype(np.uint64) + np.uint64(spec.start_time_us)
     payload_blob = rng.integers(0, 256, size=int(payload_lens.sum()), dtype=np.uint8
                                 ).tobytes()
+
+    sink.write(_PCAP_GLOBAL_HEADER)
 
     pack_record = struct.Struct("<IIII").pack
     pack_ipv4 = struct.Struct(">BBHHHBBH4s4s").pack
@@ -141,6 +158,13 @@ def synthesize(spec: SynthSpec, sink: BinaryIO) -> dict[tuple[str, str], int]:
         (host_strs[code // spec.host_count], host_strs[code % spec.host_count]): int(c)
         for code, c in zip(codes, counts)
     }
+
+
+def _zipf_weights(host_count: int, exponent: float) -> np.ndarray:
+    """Each host rank's probability, the busiest first."""
+    weights = np.arange(1, host_count + 1, dtype=np.float64) ** -exponent
+    weights /= weights.sum()
+    return weights
 
 
 def _ipv4_checksum(header: bytes) -> int:

@@ -96,9 +96,12 @@ def test_criterion_2_resource_envelope(reference_capture, tmp_path):
     """))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(driver), pcap_path, str(out_dir)],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     elapsed, threads, peak_kb = proc.stdout.split()[:3]

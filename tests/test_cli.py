@@ -221,6 +221,26 @@ def test_convert_file_output_is_durable_before_it_returns(tmp_path, fixed_key,
     ]
 
 
+def test_convert_output_mode_comes_from_the_umask_left_unchanged(
+        tmp_path, fixed_key, small_pcap, monkeypatch):
+    """os.umask is process-wide: setting it, even briefly, would change the
+    mode of files other threads create meanwhile."""
+    pcap_path, _, _ = small_pcap
+    umask = 0o027
+    saved = os.umask(umask)
+    try:
+        def umask_called(mask):
+            raise AssertionError("convert_file set the process umask")
+
+        monkeypatch.setattr(os, "umask", umask_called)
+        summary = cli.convert_file(fixed_key, 1024, pcap_path, str(tmp_path))
+    finally:
+        monkeypatch.undo()
+        os.umask(saved)
+    assert stat.S_IMODE(os.stat(summary["tmf_path"]).st_mode) == 0o666 & ~umask
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".part-")]
+
+
 def test_convert_prefix_flag(tmp_path, key_file, small_pcap, capsys):
     pcap_path, _, spec = small_pcap
     out_dir = tmp_path / "out"
@@ -936,6 +956,21 @@ def test_synth_invalid_spec_is_usage_error(tmp_path, capsys):
                      "--hosts", "1"]) == 1
     assert cli.main(["synth", "--out", str(tmp_path / "x.pcap"),
                      "--payload-min", "90", "--payload-max", "10"]) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--packets", "10", "--start-time-us", "5000000000000000"],
+    ["--packets", "10", "--mean-gap-us", "1e300"],
+    ["--packets", "10", "--mean-gap-us", "inf"],
+    ["--packets", "1000", "--mean-gap-us", "1e13"],  # drawn times run past 2**32 s
+    ["--packets", "10", "--hosts", "3", "--zipf-exponent", "1e9"],
+])
+def test_synth_spec_past_the_pcap_format_exits_1_without_output(tmp_path, capsys, flags):
+    out = tmp_path / "x.pcap"
+    assert cli.main(["synth", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "x.pcap.truth").exists()
 
 
 def test_synth_custom_ground_truth_path(tmp_path, capsys):

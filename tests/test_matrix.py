@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmsensor import matrix
-from tmsensor.anon import anonymize_ip
+from tmsensor.anon import AnonKey, anonymize_ip
 from tmsensor.errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
 from tmsensor.matrix import (
     DEFAULT_WINDOW_SIZE,
@@ -184,6 +184,72 @@ def test_each_batch_is_pseudonymized_once(fixed_key, monkeypatch):
     windows = list(build_windows(stream(pairs), fixed_key, 2))
     assert len(windows) == 500
     assert calls == [1000]
+
+
+def test_a_window_is_summed_once_per_doubling_of_its_cells(fixed_key, monkeypatch):
+    calls = []
+    sum_cells = matrix._sum_cells
+
+    def counted(parts):
+        calls.append(len(parts))
+        return sum_cells(parts)
+
+    monkeypatch.setattr(matrix, "_sum_cells", counted)
+    counting_anonymizer(monkeypatch)
+    # 64 batches of 1 000 cells, every cell new: sources 10.0.0.i>>8, destinations 10.1.0.i&255.
+    batches = [batch(make_packet(bytes((10, 0, 0, i >> 8)), bytes((10, 1, 0, i & 255)), i)
+                     for i in range(b * 1000, (b + 1) * 1000))
+               for b in range(64)]
+    (m,) = build_windows(batches, fixed_key, 1 << 17)
+    assert len(m.entries) == m.packet_count == 64_000
+    assert len(calls) <= 8
+
+
+def brute_force_windows(key, packets, window_size):
+    """Each window counted packet by packet, with anonymize_ip per address."""
+    ids = {}
+
+    def pseudonym(version, ip):
+        if (version, ip) not in ids:
+            ids[version, ip] = anonymize_ip(key, version, ip)
+        return ids[version, ip]
+
+    windows = []
+    for lo in range(0, len(packets), window_size):
+        window = packets[lo : lo + window_size]
+        entries: dict = {}
+        for p in window:
+            cell = (pseudonym(p.ip_version, p.src_ip), pseudonym(p.ip_version, p.dst_ip))
+            entries[cell] = entries.get(cell, 0) + 1
+        times = [p.timestamp_us for p in window]
+        windows.append(TrafficMatrix.from_entries(window_size, len(window), min(times),
+                                                  max(times), key.key_id, entries))
+    return windows
+
+
+@settings(max_examples=100, deadline=None)
+@given(hosts=st.integers(2, 5000), packets=st.integers(0, 5000),
+       window_size=st.integers(1, 4096), sizes=st.lists(st.integers(0, 1500), max_size=10),
+       seed=st.integers(0, 1 << 32))
+def test_windows_equal_a_brute_force_count(hosts, packets, window_size, sizes, seed):
+    key = AnonKey(bytes(range(32)))
+    rng = random.Random(seed)
+    addresses = [(4, (0x0A000000 + h).to_bytes(4, "big")) if rng.random() < 0.5
+                 else (6, b"\xfd" + bytes(11) + h.to_bytes(4, "big"))
+                 for h in range(hosts)]
+    by_version = {v: [a for a in addresses if a[0] == v] for v in (4, 6)}
+    stream_packets = []
+    for _ in range(packets):
+        group = by_version[rng.choice((4, 6))] or addresses
+        (version, src), (_, dst) = rng.choice(group), rng.choice(group)
+        stream_packets.append(Packet(rng.randrange(1 << 40), version, src, dst))
+    cuts = [0]
+    for size in sizes:
+        cuts.append(min(packets, cuts[-1] + size))
+    cuts.append(packets)
+    batches = [batch(stream_packets[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    assert list(build_windows(batches, key, window_size)) == brute_force_windows(
+        key, stream_packets, window_size)
 
 
 def mixed_capture(packets: int, seed: int) -> bytes:

@@ -174,12 +174,39 @@ def test_ground_truth_without_total_line_rejected():
         dict(payload_len_range=(0, 70_000)),
         dict(seed=-1),
         dict(start_time_us=-5),
+        dict(start_time_us=5_000_000_000_000_000),
+        dict(start_time_us=1_000_000 << 32),  # the first second PCAP cannot hold
         dict(mean_interarrival_us=0.0),
+        dict(mean_interarrival_us=1e300),
+        dict(mean_interarrival_us=float("inf")),
+        dict(mean_interarrival_us=float("nan")),
+        dict(host_count=3, zipf_exponent=1e9),
+        dict(host_count=2, zipf_exponent=7.0),  # the busiest host draws > 99 %
+        dict(zipf_exponent=float("inf")),
     ],
 )
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(InvalidSynthSpec):
         SynthSpec(**kwargs).validate()
+
+
+def test_timestamps_past_pcap_seconds_rejected_before_writing():
+    spec = SynthSpec(packet_count=100, start_time_us=(1_000_000 << 32) - 10_000, seed=3)
+    spec.validate()
+    sink = io.BytesIO()
+    with pytest.raises(InvalidSynthSpec, match="32-bit seconds"):
+        synthesize(spec, sink)
+    assert sink.getvalue() == b""
+
+
+def test_last_pcap_second_and_top_host_share_bound_are_accepted():
+    last = (1_000_000 << 32) - 1
+    data, truth = run(SynthSpec(packet_count=1, start_time_us=last,
+                                mean_interarrival_us=1e-9))
+    (packet,) = records_of(parse_pcap(io.BytesIO(data))[0])
+    assert packet.timestamp_us == last
+    _, truth = run(SynthSpec(host_count=2, packet_count=2000, zipf_exponent=6.6))
+    assert sum(truth.values()) == 2000
 
 
 def test_zipf_skew_concentrates_traffic():

@@ -17,7 +17,7 @@ from .matrix import (
 )
 from .pcap import CaptureStats, PacketBatch, parse_pcap
 from .synth import SynthSpec, read_ground_truth, synthesize, write_ground_truth
-from .tmf import read_tmf, write_tmf
+from .tmf import iter_tmf, read_tmf, write_tmf
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,7 @@ __all__ = [
     "anonymize_ip",
     "build_windows",
     "generate_key",
+    "iter_tmf",
     "load_key",
     "merge",
     "parse_pcap",

@@ -9,7 +9,7 @@ comparable across windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -71,18 +71,35 @@ def _histogram(degree: np.ndarray) -> dict[int, int]:
 
 
 def analyze_many(
-    ms: Sequence[TrafficMatrix],
+    ms: Iterable[TrafficMatrix],
 ) -> tuple[list[AnalysisReport], AnalysisReport]:
     """Per-window reports plus the report of the merged whole.
 
     The merged report comes from merging the matrices and analyzing the
     result; max- and unique-type fields do not sum across windows, so
     summing per-window reports would be wrong.
+
+    ``ms`` is read once, in order, and may be any iterable. Each matrix is
+    reported as it arrives and then waits to be merged; the waiting ones are
+    folded into the merged matrix once their cells outnumber its cells, so
+    memory holds the merged cells, at most as many waiting cells and the
+    reports, not every matrix. A key, window-size or packet-count mismatch
+    raises when the mismatching matrix is folded in.
     """
-    reports = [analyze(m) for m in ms]
-    if not ms:
+    reports = []
+    # The merged matrix, once there is one, then each matrix since.
+    waiting: list[TrafficMatrix] = []
+    merged_cells = waiting_cells = 0
+    for m in ms:
+        reports.append(analyze(m))
+        waiting.append(m)
+        waiting_cells += len(m.counts)
+        if waiting_cells > merged_cells:
+            waiting = [merge(*waiting)]
+            merged_cells, waiting_cells = len(waiting[0].counts), 0
+    if not waiting:
         return reports, AnalysisReport()
-    return reports, analyze(merge(*ms))
+    return reports, analyze(waiting[0] if len(waiting) == 1 else merge(*waiting))
 
 
 def report_to_dict(report: AnalysisReport) -> dict:

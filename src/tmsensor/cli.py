@@ -35,7 +35,8 @@ from .errors import (
 from .matrix import DEFAULT_WINDOW_SIZE, MAX_WINDOW_SIZE, MIN_WINDOW_SIZE, build_windows
 from .pcap import parse_pcap
 from .synth import SynthSpec, synthesize, write_ground_truth
-from .tmf import read_tmf, tmf_filename, write_tmf
+from .tmf import iter_tmf, tmf_filename, write_tmf
+from .tmf import read_tmf  # noqa: F401  bench/tracer.py wraps cli.read_tmf by name
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,19 +298,21 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    matrices = []
     origins = []
-    for path in args.files:
-        try:
-            with open(path, "rb") as f:
-                blocks = read_tmf(f)
-        except (SensorError, OSError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc  # main picks the exit code
-        for index, m in enumerate(blocks):
-            matrices.append(m)
-            origins.append((path, index))
 
-    reports, merged = analyze_many(matrices)
+    def blocks():
+        for path in args.files:
+            try:
+                with open(path, "rb") as f:
+                    for index, m in enumerate(iter_tmf(f)):
+                        origins.append((path, index))
+                        yield m
+            except (SensorError, OSError) as exc:
+                raise type(exc)(f"{path}: {exc}") from exc  # main picks the exit code
+
+    # Reports are printed only once every file has been read, so a fault in
+    # a later file leaves stdout empty.
+    reports, merged = analyze_many(blocks())
 
     if args.format == "json":
         import json

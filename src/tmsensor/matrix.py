@@ -264,14 +264,28 @@ def _pseudonyms(key, memos, versions, src, dst):
     return ids[:n], ids[n:]
 
 
-def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+def _lexsort(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return np.lexsort((cols, rows))
+
+
+def _merge_runs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (row, col) order of cells that come as sorted runs, one run per
+    matrix: a stable sort on one 16-byte big-endian key, which finds the runs
+    and merges them, where ``lexsort`` would sort the whole again."""
+    key = np.empty((len(rows), 2), ">u8")
+    key[:, 0], key[:, 1] = rows, cols
+    return np.argsort(key.view("V16").ravel(), kind="stable")
+
+
+def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], sort=_lexsort
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort the cells of ``parts``, each a (rows, cols, counts) triple, by
-    (row, col) and add up the counts of equal cells. Empties ``parts``, and
-    frees each unsorted column as soon as its sorted copy exists."""
+    (row, col) and add up the counts of equal cells. ``sort(rows, cols)``
+    gives the sorting permutation. Empties ``parts``, and frees each unsorted
+    column as soon as its sorted copy exists."""
     columns = [np.concatenate(column) for column in zip(*parts)]
     parts.clear()
-    order = np.lexsort((columns[1], columns[0]))
+    order = sort(columns[0], columns[1])
     for i, column in enumerate(columns):
         columns[i] = column[order]
     del column
@@ -287,7 +301,8 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
     """Element-wise sum of matrices built under the same key and window size.
 
     The summed packet_count must fit the file's 64-bit field. The counts of
-    each valid input sum to its packet_count, so no merged cell can wrap.
+    each valid input sum to its packet_count, so no merged cell can wrap, and
+    its cells are in (row, col) order, so the inputs are merged as sorted runs.
     """
     ms = (first, *rest)
     for m in rest:
@@ -304,7 +319,7 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
     if packets >> 64:
         raise InvariantViolation(f"merged packet_count {packets} does not fit in 64 bits")
 
-    cells = _sum_cells([(m.rows, m.cols, m.counts) for m in ms])
+    cells = _sum_cells([(m.rows, m.cols, m.counts) for m in ms], _merge_runs)
     nonempty = [m for m in ms if m.packet_count]
     start = min((m.start_time_us for m in nonempty), default=0)
     end = max((m.end_time_us for m in nonempty), default=0)

@@ -121,9 +121,15 @@ def write_tmf(
     return total
 
 
+def iter_tmf(source: BinaryIO) -> Iterator[TrafficMatrix]:
+    """Decode a TMF byte stream one block at a time, validating each block as
+    it is read; a fault raises when its block is reached."""
+    return (_decode_block(header, payload) for header, payload in _blocks(source))
+
+
 def read_tmf(source: BinaryIO) -> list[TrafficMatrix]:
     """Parse a TMF byte stream back into matrices, validating every block."""
-    return [_decode_block(header, payload) for header, payload in _blocks(source)]
+    return list(iter_tmf(source))
 
 
 def iter_block_headers(source: BinaryIO) -> Iterator[TmfBlockHeader]:

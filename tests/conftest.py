@@ -5,9 +5,12 @@ directly (struct only, no package code) so tests exercise the parser
 against independently constructed bytes.
 """
 
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
 import time
 from typing import NamedTuple
 
@@ -19,6 +22,33 @@ from tmsensor.matrix import TrafficMatrix
 from tmsensor.pcap import PacketBatch
 
 US_PER_SEC = 1_000_000
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Appended to the code run_python runs: its peak RSS in KiB, as its last line.
+_PRINT_VMHWM = """
+with open("/proc/self/status") as _status:
+    print(next(line.split()[1] for line in _status if line.startswith("VmHWM:")))
+"""
+
+
+def run_python(code: str, *args: str, timeout: float = 120) -> tuple[str, float]:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports tmsensor
+    from this checkout's ``src``; return its stdout and its peak RSS in MB.
+
+    The peak is ``VmHWM``, which the child reads as it ends. ``ru_maxrss``
+    would not do: Linux carries it across exec, so a child would report at
+    least the peak of the pytest process that started it.
+    """
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _PRINT_VMHWM, *args],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, _, peak_kb = proc.stdout.rstrip("\n").rpartition("\n")
+    return out, int(peak_kb) / 1024
 
 
 def ip4(dotted: str) -> bytes:

@@ -12,8 +12,6 @@ import hmac
 import io
 import os
 import random
-import subprocess
-import sys
 import textwrap
 import time
 
@@ -28,7 +26,7 @@ from tmsensor.pcap import PacketBatch, parse_pcap
 from tmsensor.synth import SynthSpec, synthesize
 from tmsensor.tmf import read_tmf, write_tmf
 
-from conftest import eth_ipv4_capture, pcap_header, random_matrix
+from conftest import eth_ipv4_capture, pcap_header, random_matrix, run_python
 
 KEY = AnonKey(bytes(range(32)))
 
@@ -77,9 +75,10 @@ def test_criterion_1_compression_ratio(reference_capture, tmp_path):
 def test_criterion_2_resource_envelope(reference_capture, tmp_path):
     """The same conversion: < 10 s, ≤ 4 threads, < 512 MB peak RSS."""
     pcap_path, _, _ = reference_capture
-    driver = tmp_path / "convert_driver.py"
-    driver.write_text(textwrap.dedent("""\
-        import resource, sys, time
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out, peak_mb = run_python(textwrap.dedent("""\
+        import sys, time
         from tmsensor.anon import AnonKey
         from tmsensor.cli import convert_file
 
@@ -91,21 +90,10 @@ def test_criterion_2_resource_envelope(reference_capture, tmp_path):
             threads = next(
                 int(line.split()[1]) for line in f if line.startswith("Threads:")
             )
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(elapsed, threads, peak_kb, summary["tmf_bytes"])
-    """))
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(driver), pcap_path, str(out_dir)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
-    assert proc.returncode == 0, proc.stderr
-    elapsed, threads, peak_kb = proc.stdout.split()[:3]
-    elapsed, threads, peak_mb = float(elapsed), int(threads), int(peak_kb) / 1024
+        print(elapsed, threads, summary["tmf_bytes"])
+    """), pcap_path, str(out_dir))
+    elapsed, threads = out.split()[:2]
+    elapsed, threads = float(elapsed), int(threads)
     report(
         "2 resources",
         elapsed < 10 and threads <= 4 and peak_mb < 512,

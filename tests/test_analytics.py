@@ -3,6 +3,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from tmsensor.analytics import (
     format_report_text,
     report_to_dict,
 )
+from tmsensor.errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
 from tmsensor.matrix import TrafficMatrix, merge
 
 from conftest import random_entries
@@ -159,6 +161,50 @@ def test_merged_report_is_merge_then_analyze_not_field_sums():
     assert merged == analyze(merge(a, b))
     assert merged.unique_sources == 1  # a naive sum would say 2
     assert merged.max_source_fanout == 2
+
+
+# Blocks drawn from a few hosts, so they share cells; empty ones are empty windows.
+_block_entries = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                 st.integers(1, 1000), max_size=15)
+
+
+@st.composite
+def block_lists(draw):
+    """Blocks with empty windows, repeats and one block larger than all before it."""
+    blocks = [matrix_of(e) for e in draw(st.lists(_block_entries, max_size=10))]
+    for _ in range(draw(st.integers(0, 3)) if blocks else 0):
+        again = blocks[draw(st.integers(0, len(blocks) - 1))]
+        blocks.insert(draw(st.integers(0, len(blocks))), again)
+    at = draw(st.integers(0, len(blocks)))
+    size = sum(len(b.counts) for b in blocks[:at]) + draw(st.integers(1, 20))
+    blocks.insert(at, matrix_of({(k % 30, k // 30): 1 + k for k in range(size)}))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists())
+def test_analyze_many_folds_to_one_merge(blocks):
+    reports, merged = analyze_many(iter(blocks))
+    assert reports == [analyze(b) for b in blocks]
+    assert merged == analyze(merge(*blocks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_lists(), st.sampled_from([KeyMismatch, WindowSizeMismatch, InvariantViolation]),
+       st.sampled_from(["first", "middle", "last"]))
+def test_analyze_many_raises_a_mismatch_wherever_it_is(blocks, error, place):
+    if error is KeyMismatch:
+        bad = TrafficMatrix.from_entries(1024, 1, 100, 200, b"\x0d" * 8, {(1, 2): 1})
+    elif error is WindowSizeMismatch:
+        bad = matrix_of({(1, 2): 1}, window=2048)
+    else:  # with any other packet, the merged count passes 2**64
+        bad = matrix_of({(1, 2): (1 << 64) - 1})
+    at = {"first": 0, "middle": len(blocks) // 2, "last": len(blocks)}[place]
+    blocks.insert(at, bad)
+    with pytest.raises(error):
+        merge(*blocks)
+    with pytest.raises(error):
+        analyze_many(iter(blocks))
 
 
 def test_merge_mass_additivity_property():

@@ -11,6 +11,7 @@ import threading
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from tmsensor.matrix import TrafficMatrix
 from tmsensor.synth import SynthSpec, synthesize
 from tmsensor.tmf import MAGIC, read_tmf, write_tmf
 
-from conftest import eth_ipv4_capture, pcap_header
+from conftest import eth_ipv4_capture, pcap_header, run_python
 
 
 def kv_lines(text: str) -> dict:
@@ -403,9 +404,48 @@ def test_analyze_corrupted_file_names_the_offender(converted, tmp_path, capsys):
     data[70] ^= 0xFF  # inside the first payload
     corrupt.write_bytes(bytes(data))
     assert cli.main(["analyze", tmf_path, str(corrupt)]) == 2
-    err = capsys.readouterr().err
-    assert str(corrupt) in err
-    assert tmf_path not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the good file's reports are not printed either
+    assert str(corrupt) in captured.err
+    assert tmf_path not in captured.err
+
+
+def test_analyze_file_under_another_key_prints_nothing(converted, tmp_path, capsys):
+    tmf_path, _ = converted
+    other = tmp_path / "other_key.tmf"
+    with open(other, "wb") as f:
+        write_tmf([TrafficMatrix.from_entries(1024, 1, 1, 2, b"\x0b" * 8, {(1, 2): 1})], f)
+    assert cli.main(["analyze", tmf_path, str(other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "different keys" in captured.err and "Traceback" not in captured.err
+
+
+def test_analyze_memory_does_not_grow_with_the_input(tmp_path):
+    """Eight copies of a file add no cells to the merged matrix, so they
+    must not take eight times the memory: the blocks are read and merged as
+    they come, not held."""
+    rng = np.random.default_rng(3)
+    hosts = np.sort(rng.integers(0, 1 << 64, 4_000, dtype=np.uint64))
+    blocks = []
+    for i in range(4):
+        cells = np.unique(rng.integers(0, len(hosts) ** 2, 40_000))
+        counts = rng.integers(1, 50, len(cells)).astype(np.uint64)
+        blocks.append(TrafficMatrix(1 << 20, int(counts.sum()), i, i + 1, b"\x0b" * 8,
+                                    hosts[cells // len(hosts)], hosts[cells % len(hosts)],
+                                    counts))
+    path = tmp_path / "blocks.tmf"
+    with open(path, "wb") as f:
+        write_tmf(blocks, f)
+    code = ("import sys\nfrom tmsensor.cli import main\n"
+            "assert main(['analyze', *sys.argv[1:]]) == 0")
+    out, once_mb = run_python(code, str(path))
+    assert out.count("report=window") == 4
+    out, eight_mb = run_python(code, *[str(path)] * 8)
+    assert out.count("report=window") == 32
+    # Holding every block adds about 85 MB here; folding them as they come
+    # adds one fold of about twice the merged cells, about 13 MB.
+    assert eight_mb - once_mb < 24, f"peak {once_mb:.1f} MB for 1 copy, {eight_mb:.1f} MB for 8"
 
 
 def test_analyze_huge_entry_count_is_data_error(tmp_path, capsys):

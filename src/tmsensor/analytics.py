@@ -79,27 +79,31 @@ def analyze_many(
     result; max- and unique-type fields do not sum across windows, so
     summing per-window reports would be wrong.
 
-    ``ms`` is read once, in order, and may be any iterable. Each matrix is
-    reported as it arrives and then waits to be merged; the waiting ones are
-    folded into the merged matrix once their cells outnumber its cells, so
-    memory holds the merged cells, at most as many waiting cells and the
-    reports, not every matrix. A key, window-size or packet-count mismatch
-    raises when the mismatching matrix is folded in.
+    ``ms`` is read once, in order, and may be any iterable. Matrices wait
+    until their cells outnumber the merged matrix's cells; then each waiting
+    one is reported and all are folded into the merged matrix. So memory
+    holds the merged cells, at most about as many waiting cells and the
+    reports, not every matrix. Reporting a run of matrices at a time, not
+    each as it is read, keeps reading and analysis in separate loops, which
+    is faster. A key, window-size or packet-count mismatch raises when the
+    mismatching matrix is folded in.
     """
-    reports = []
-    # The merged matrix, once there is one, then each matrix since.
+    reports: list[AnalysisReport] = []
+    merged: list[TrafficMatrix] = []  # the merged matrix, once there is one
     waiting: list[TrafficMatrix] = []
     merged_cells = waiting_cells = 0
     for m in ms:
-        reports.append(analyze(m))
         waiting.append(m)
         waiting_cells += len(m.counts)
         if waiting_cells > merged_cells:
-            waiting = [merge(*waiting)]
-            merged_cells, waiting_cells = len(waiting[0].counts), 0
-    if not waiting:
+            reports += map(analyze, waiting)
+            merged = [merge(*merged, *waiting)]
+            waiting, merged_cells, waiting_cells = [], len(merged[0].counts), 0
+    reports += map(analyze, waiting)
+    parts = merged + waiting
+    if not parts:
         return reports, AnalysisReport()
-    return reports, analyze(waiting[0] if len(waiting) == 1 else merge(*waiting))
+    return reports, analyze(parts[0] if len(parts) == 1 else merge(*parts))
 
 
 def report_to_dict(report: AnalysisReport) -> dict:

@@ -194,13 +194,7 @@ def convert_file(
         first = next(windows, None)
         if first is not None:
             hour = first.start_time_us // _US_PER_HOUR
-            while True:  # a new file, so the kernel applies the umask to its mode
-                tmp_path = os.path.join(out_dir, f".part-{os.urandom(8).hex()}.tmf")
-                try:
-                    tmp_fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                    break
-                except FileExistsError:
-                    continue
+            tmp_path, tmp_fd = _new_temp(out_dir, ".tmf")
             try:
                 with os.fdopen(tmp_fd, "wb") as out:
                     tmf_bytes = write_tmf(itertools.chain([first], windows), out)
@@ -238,6 +232,18 @@ def convert_file(
         "tmf_bytes": tmf_bytes,
         "digest": digest.hexdigest(),
     }
+
+
+def _new_temp(directory: str, suffix: str) -> tuple[str, int]:
+    """Create a new file under a random name in ``directory``; returns its path
+    and a descriptor open for writing. A new file, so the kernel applies the
+    umask to its mode."""
+    while True:
+        path = os.path.join(directory, f".part-{os.urandom(8).hex()}{suffix}")
+        try:
+            return path, os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
 
 
 def _fsync_dir(path: str) -> None:
@@ -324,7 +330,8 @@ def cmd_analyze(args) -> int:
             ],
             "merged": report_to_dict(merged),
         }
-        print(json.dumps(doc, indent=2))
+        json.dump(doc, sys.stdout, indent=2)  # streamed, not built as one string
+        print()
     else:
         for (path, block), r in zip(origins, reports):
             print("report=window")
@@ -350,11 +357,15 @@ def cmd_synth(args) -> int:
     )
     spec.validate()
     truth_path = args.ground_truth or args.out + ".truth"
+    # Written under a temporary name, so a refused spec leaves an existing
+    # --out as it was.
+    tmp_path, tmp_fd = _new_temp(os.path.dirname(args.out), ".pcap")
     try:
-        with open(args.out, "wb") as f:
+        with os.fdopen(tmp_fd, "wb") as f:
             truth = synthesize(spec, f)
-    except InvalidSynthSpec:
-        os.unlink(args.out)  # raised before a byte was written
+        os.replace(tmp_path, args.out)
+    except BaseException:
+        os.unlink(tmp_path)
         raise
     with open(truth_path, "w", encoding="utf-8") as f:
         write_ground_truth(truth, f)

@@ -16,6 +16,7 @@ reduced deterministically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping
@@ -108,7 +109,8 @@ class TrafficMatrix:
 
 
 class _CellView(Mapping):
-    """Read-only {(row, col): count} mapping over a matrix's sorted arrays."""
+    """Read-only {(row, col): count} mapping over a matrix's sorted arrays.
+    Its length reads the arrays; any other use builds a dict of the cells once."""
 
     def __init__(self, m: TrafficMatrix):
         self._m = m
@@ -116,26 +118,16 @@ class _CellView(Mapping):
     def __len__(self) -> int:
         return len(self._m.rows)
 
+    @functools.cached_property
+    def _cells(self) -> dict[tuple[int, int], int]:
+        m = self._m
+        return dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.counts.tolist()))
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self._m.rows.tolist(), self._m.cols.tolist())
+        return iter(self._cells)
 
     def __getitem__(self, cell: tuple[int, int]) -> int:
-        row, col = cell
-        if 0 <= row < 1 << 64 and 0 <= col < 1 << 64:
-            rows, cols = self._m.rows, self._m.cols
-            lo, hi = (int(np.searchsorted(rows, np.uint64(row), side))
-                      for side in ("left", "right"))
-            i = lo + int(np.searchsorted(cols[lo:hi], np.uint64(col)))
-            if i < hi and cols[i] == col:
-                return int(self._m.counts[i])
-        raise KeyError(cell)
-
-    # One pass over the arrays, not a search per cell; Mapping's == uses items.
-    def items(self):
-        return dict(zip(self, self._m.counts.tolist())).items()
-
-    def values(self):
-        return self.items().mapping.values()
+        return self._cells[cell]
 
 
 def build_windows(
@@ -219,12 +211,11 @@ class _Memo:
     def pseudonyms(self, key: AnonKey, addrs: np.ndarray) -> np.ndarray:
         """The pseudonyms of distinct, sorted addresses; misses are hashed."""
         keys, values = self.run
+        at = np.searchsorted(keys, addrs)  # a hit's index, or a miss's place
+        found = at < len(keys)
+        found[found] = keys[at[found]] == addrs[found]
         ids = np.empty(len(addrs), np.uint64)
-        found = np.zeros(len(addrs), bool)
-        if len(keys):
-            at = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
-            found = keys[at] == addrs
-            ids[found] = values[at[found]]
+        ids[found] = values[at[found]]
         miss = np.flatnonzero(~found)
         if len(miss):
             new_keys = addrs[miss]
@@ -232,22 +223,9 @@ class _Memo:
                 map(anonymize_ip, itertools.repeat(key), itertools.repeat(self.version),
                     new_keys.view(f"V{self.dtype.itemsize}").tolist()), np.uint64, len(miss))
             ids[miss] = new_ids
-            self.run = _insert_sorted(self.run, new_keys, new_ids)
+            self.run = (np.insert(keys, at[miss], new_keys),
+                        np.insert(values, at[miss], new_ids))
         return ids
-
-
-def _insert_sorted(run, keys, values):
-    """Merge sorted, absent ``keys`` and their ``values`` into a sorted run."""
-    at = np.searchsorted(run[0], keys) + np.arange(len(keys))  # places in the result
-    kept = np.ones(len(run[0]) + len(keys), bool)
-    kept[at] = False
-    merged = []
-    for old, new in zip(run, (keys, values)):
-        out = np.empty(len(kept), old.dtype)
-        out[at] = new
-        out[kept] = old
-        merged.append(out)
-    return tuple(merged)
 
 
 def _pseudonyms(key, memos, versions, src, dst):

@@ -236,11 +236,9 @@ def _decode_entries(raw: bytes, entry_count: int) -> tuple[np.ndarray, ...]:
     if len(ends) > 3 * entry_count:
         raise CorruptPayload("trailing bytes after the last entry")
     starts, sizes = ends - runs[:-1], runs[:-1] + 1
-    step = np.ones(len(data), np.int8)  # running sum: each byte's place in its varint
-    step[starts[1:]] = 1 - sizes[:-1]
-    step[:1] = 0
+    places = np.arange(len(data)) - np.repeat(starts, sizes)  # each byte's in its varint
     groups = (data & 0x7F).astype(np.uint64)
-    groups <<= (7 * np.cumsum(step, dtype=np.int8)).astype(np.uint64)
+    groups <<= (7 * places).astype(np.uint64)
     values = np.add.reduceat(groups, starts)
     deltas, cols, counts = values[0::3], values[1::3], values[2::3]
     if np.any((deltas[1:] == 0) & (cols[1:] <= cols[:-1])):

@@ -400,7 +400,7 @@ def test_analyze_missing_file_is_environment_error(tmp_path, capsys):
 def test_analyze_corrupted_file_names_the_offender(converted, tmp_path, capsys):
     tmf_path, _ = converted
     corrupt = tmp_path / "corrupt.tmf"
-    data = bytearray(open(tmf_path, "rb").read())
+    data = bytearray(Path(tmf_path).read_bytes())
     data[70] ^= 0xFF  # inside the first payload
     corrupt.write_bytes(bytes(data))
     assert cli.main(["analyze", tmf_path, str(corrupt)]) == 2
@@ -446,6 +446,31 @@ def test_analyze_memory_does_not_grow_with_the_input(tmp_path):
     # Holding every block adds about 85 MB here; folding them as they come
     # adds one fold of about twice the merged cells, about 15 MB.
     assert eight_mb - once_mb < 24, f"peak {once_mb:.1f} MB for 1 copy, {eight_mb:.1f} MB for 8"
+
+
+def test_analyze_json_is_written_as_it_is_rendered(tmp_path):
+    """The JSON report must not be built as one string first: its peak may
+    exceed the text form's by the per-window dicts, not by the whole text."""
+    # 15 groups of 11 sources; source j of a group sends to destinations
+    # 0..j of its group. So each window has 990 cells, 11 fan-out degrees
+    # and 11 fan-in degrees.
+    fanout = np.tile(np.arange(1, 12), 15)
+    rows = np.repeat(np.arange(len(fanout), dtype=np.uint64), fanout)
+    group = np.repeat(np.arange(len(fanout)) // 11, fanout)
+    place = np.arange(len(rows)) - np.repeat(np.cumsum(fanout) - fanout, fanout)
+    cols = (1000 * group + place).astype(np.uint64)
+    counts = np.random.default_rng(4).integers(1, 50, (200, len(rows)), dtype=np.uint64)
+    path = tmp_path / "windows.tmf"
+    with open(path, "wb") as f:
+        write_tmf((TrafficMatrix(1 << 20, int(c.sum()), i, i + 1, b"\x0b" * 8, rows, cols, c)
+                   for i, c in enumerate(counts)), f)
+    code = ("import contextlib, os, sys\nfrom tmsensor.cli import main\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    assert main(['analyze', *sys.argv[1:]]) == 0")
+    _, text_mb = run_python(code, "--format", "text", *[str(path)] * 8)
+    _, json_mb = run_python(code, "--format", "json", *[str(path)] * 8)
+    # The document as one string adds about 14 MB here; the dicts about 3 MB.
+    assert json_mb - text_mb < 5, f"peak {text_mb:.1f} MB as text, {json_mb:.1f} MB as JSON"
 
 
 def test_analyze_huge_entry_count_is_data_error(tmp_path, capsys):
@@ -1011,6 +1036,16 @@ def test_synth_spec_past_the_pcap_format_exits_1_without_output(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "x.pcap.truth").exists()
+
+
+def test_synth_refused_spec_leaves_an_existing_out_untouched(tmp_path, capsys):
+    out = tmp_path / "keep.pcap"
+    out.write_bytes(b"kept")
+    assert cli.main(["synth", "--out", str(out), "--packets", "2000",
+                     "--mean-gap-us", "4000000000000000"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_bytes() == b"kept"
+    assert os.listdir(tmp_path) == ["keep.pcap"]  # no temporary file left either
 
 
 def test_synth_custom_ground_truth_path(tmp_path, capsys):

@@ -96,8 +96,20 @@ def test_matches_brute_force_pair_counting(fixed_key):
     for src, dst in pairs:
         cell = (anonymize_ip(fixed_key, 4, src), anonymize_ip(fixed_key, 4, dst))
         expected[cell] = expected.get(cell, 0) + 1
-    assert m.entries == expected
+    view = m.entries
+    assert len(view) == len(expected)
+    assert "_cells" not in vars(view)  # len reads the arrays, building no dict
+    assert view == expected
     assert m.packet_count == 10_000
+    # Lookups: present cells, absent ones (no host sends to itself), and
+    # coordinates out of the 64-bit range.
+    for cell, count in expected.items():
+        assert view[cell] == count and cell in view and view.get(cell) == count
+    sid = next(iter(expected))[0]
+    for absent in ((sid, sid), (-1, sid), (sid, -1), (1 << 64, sid), (sid, 1 << 64)):
+        assert absent not in view and view.get(absent) is None
+        with pytest.raises(KeyError):
+            view[absent]
 
 
 def test_time_range_is_min_max_of_timestamps(fixed_key):

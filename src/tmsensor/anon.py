@@ -7,6 +7,11 @@ equal ids, so matrix structure survives, while recovering an address from its
 id requires the key. The tag keeps the v4 and v6 id spaces unrelated even
 when the address bytes overlap.
 
+``pseudonyms`` maps a whole array of same-version addresses at once: it
+checks the version and the address width once, then runs one HMAC loop that
+copies the cached pad states for each address. ``anonymize_ip`` is the
+per-address form, built on it, so there is one HMAC code path.
+
 Keys are 32 random bytes, generated once per deployment and reused across
 capture hours so ids stay comparable over time. The public 8-byte key_id
 (SHA-256 prefix of the key) lets files be matched to their key without
@@ -19,6 +24,8 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import EntropyUnavailable, KeyFileError, LengthMismatch
 from .streams import read_full
@@ -62,20 +69,37 @@ class AnonKey:
                 hashlib.sha256(bytes(b ^ 0x5C for b in block)))
 
 
-def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
-    """Map an IP address to its 64-bit pseudonym under the given key."""
-    expected = _ADDR_LEN.get(ip_version)
-    if len(ip) != expected:
-        if expected is None:
-            raise ValueError(f"ip_version must be 4 or 6, got {ip_version}")
+def pseudonyms(key: AnonKey, ip_version: int, addrs: np.ndarray) -> np.ndarray:
+    """Map a 1-D array of IPv4 or IPv6 addresses to their 64-bit pseudonyms.
+
+    Each item of ``addrs`` holds one address's bytes (a ``>u4`` or ``V4``
+    array for IPv4, ``V16`` for IPv6), so the item size is the address
+    width. Returns a ``uint64`` array in the order of ``addrs``.
+    """
+    width = _ADDR_LEN.get(ip_version)
+    if width is None:
+        raise ValueError(f"ip_version must be 4 or 6, got {ip_version}")
+    if addrs.dtype.itemsize != width:
         raise LengthMismatch(
-            f"IPv{ip_version} address must be {expected} bytes, got {len(ip)}"
+            f"IPv{ip_version} address must be {width} bytes, got {addrs.dtype.itemsize}"
         )
     inner_pad, outer_pad = key._hmac_pads
-    inner, outer = inner_pad.copy(), outer_pad.copy()
-    inner.update(_TAG[ip_version] + ip)
-    outer.update(inner.digest())
-    return int.from_bytes(outer.digest()[:8], "big")
+    tagged = inner_pad.copy()
+    tagged.update(_TAG[ip_version])
+    digests = bytearray()
+    for addr in addrs.view(f"V{width}").tolist():
+        inner = tagged.copy()
+        inner.update(addr)
+        outer = outer_pad.copy()
+        outer.update(inner.digest())
+        digests += outer.digest()
+    # Each 32-byte digest is four big-endian words; the id is the first.
+    return np.frombuffer(digests, ">u8")[::4].astype(np.uint64)
+
+
+def anonymize_ip(key: AnonKey, ip_version: int, ip: bytes) -> int:
+    """Map an IP address to its 64-bit pseudonym under the given key."""
+    return int(pseudonyms(key, ip_version, np.array([memoryview(ip).tobytes()], "V"))[0])
 
 
 def generate_key() -> AnonKey:

@@ -205,8 +205,11 @@ def convert_file(
     visible under its final name. A name already holding the same bytes is
     reused, so a capture converted again after a crash gets no second
     output. The directory is fsynced last, so the output is durable before
-    the caller journals it.
+    the caller journals it. A ``prefix`` that could name a file outside
+    ``out_dir`` raises ValueError before the capture is opened.
     """
+    if not _valid_prefix(prefix):
+        raise ValueError(_PREFIX_RULE)
     if log is None:
         log = sys.stderr  # resolved per call so stream redirection works
     digest = hashlib.sha256()

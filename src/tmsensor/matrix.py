@@ -23,7 +23,8 @@ from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .anon import KEY_ID_LEN, AnonKey, anonymize_ip
+from .anon import KEY_ID_LEN, AnonKey, pseudonyms
+from .anon import anonymize_ip  # noqa: F401  bench/tracer.py wraps matrix.anonymize_ip by name
 from .errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
 from .pcap import PacketBatch
 
@@ -142,14 +143,15 @@ def build_windows(
     batches.
 
     Each batch's addresses are pseudonymized once, through a memo kept
-    across batches. The batch's pseudonym columns are then sliced at window
-    boundaries. The slices wait in the open window until their packets
-    outnumber the window's summed cells, or the window closes; one sort then
-    sums them together with those cells. So every sort but the closing one
-    takes in fewer than twice its new packets, and memory holds the window's
-    distinct cells, at most as many waiting packets and one batch, never a
-    per-packet array of a whole window. A batch holding an IP version other
-    than 4 or 6 raises ValueError.
+    across batches: the memo's misses are hashed in one ``pseudonyms`` call
+    per batch and IP version. The batch's pseudonym columns are then sliced
+    at window boundaries. The slices wait in the open window until their
+    packets outnumber the window's summed cells, or the window closes; one
+    sort then sums them together with those cells. So every sort but the
+    closing one takes in fewer than twice its new packets, and memory holds
+    the window's distinct cells, at most as many waiting packets and one
+    batch, never a per-packet array of a whole window. A batch holding an IP
+    version other than 4 or 6 raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -196,7 +198,8 @@ def build_windows(
 
 
 class _Memo:
-    """Pseudonyms of the addresses of one IP version, in one sorted run."""
+    """Pseudonyms of the addresses of one IP version, in one sorted run.
+    Each lookup hashes all of its misses in one ``pseudonyms`` call."""
 
     def __init__(self, version: int, dtype: str):
         self.version, self.dtype = version, np.dtype(dtype)  # an address's bytes as one key
@@ -219,9 +222,7 @@ class _Memo:
         miss = np.flatnonzero(~found)
         if len(miss):
             new_keys = addrs[miss]
-            new_ids = np.fromiter(
-                map(anonymize_ip, itertools.repeat(key), itertools.repeat(self.version),
-                    new_keys.view(f"V{self.dtype.itemsize}").tolist()), np.uint64, len(miss))
+            new_ids = pseudonyms(key, self.version, new_keys)
             ids[miss] = new_ids
             self.run = (np.insert(keys, at[miss], new_keys),
                         np.insert(values, at[miss], new_ids))

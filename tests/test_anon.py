@@ -5,8 +5,9 @@ import hmac
 import io
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmsensor.anon import (
@@ -15,6 +16,7 @@ from tmsensor.anon import (
     anonymize_ip,
     generate_key,
     load_key,
+    pseudonyms,
     save_key,
 )
 from tmsensor.errors import KeyFileError, LengthMismatch
@@ -73,6 +75,22 @@ def test_matches_stdlib_hmac(key_bytes, address):
     assert anonymize_ip(AnonKey(key_bytes), version, ip) == int.from_bytes(digest[:8], "big")
 
 
+@given(st.binary(min_size=32, max_size=32),
+       st.one_of(st.tuples(st.just(4), st.lists(st.binary(min_size=4, max_size=4))),
+                 st.tuples(st.just(6), st.lists(st.binary(min_size=16, max_size=16)))))
+@example(bytes(32), (4, []))
+@example(bytes(32), (6, []))
+def test_pseudonyms_match_stdlib_hmac(key_bytes, addresses):
+    version, ips = addresses
+    expected = [int.from_bytes(hmac.new(key_bytes, bytes([version]) + ip,
+                                        hashlib.sha256).digest()[:8], "big")
+                for ip in ips]
+    width = 4 if version == 4 else 16
+    ids = pseudonyms(AnonKey(key_bytes), version, np.array(ips, f"V{width}"))
+    assert ids.dtype == np.uint64
+    assert ids.tolist() == expected
+
+
 def test_determinism(fixed_key):
     a = anonymize_ip(fixed_key, 4, ip4("10.0.0.1"))
     b = anonymize_ip(fixed_key, 4, ip4("10.0.0.1"))
@@ -129,11 +147,17 @@ def test_wrong_address_length_raises(fixed_key):
         anonymize_ip(fixed_key, 6, ip4("1.2.3.4"))
     with pytest.raises(LengthMismatch):
         anonymize_ip(fixed_key, 4, ip6("::1"))
+    with pytest.raises(LengthMismatch):
+        pseudonyms(fixed_key, 4, np.zeros(2, "V16"))
+    with pytest.raises(LengthMismatch):
+        pseudonyms(fixed_key, 6, np.zeros(0, ">u4"))
 
 
 def test_unknown_version_raises(fixed_key):
     with pytest.raises(ValueError):
         anonymize_ip(fixed_key, 5, b"\x00" * 4)
+    with pytest.raises(ValueError):
+        pseudonyms(fixed_key, 5, np.zeros(2, ">u4"))
 
 
 def test_id_fits_64_bits(fixed_key):

@@ -312,6 +312,22 @@ def test_convert_rejects_prefixes_outside_the_output_dir(tmp_path, key_file, sma
 
 
 @pytest.mark.parametrize("bad", BAD_PREFIXES)
+def test_convert_file_rejects_prefixes_outside_the_output_dir(tmp_path, fixed_key,
+                                                              small_pcap, bad):
+    pcap_path, _, _ = small_pcap
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ValueError, match="prefix must be non-empty"):
+        cli.convert_file(fixed_key, 1024, pcap_path, str(out_dir), bad.format(tmp=tmp_path))
+    # The check comes before the capture is opened.
+    with pytest.raises(ValueError, match="prefix must be non-empty"):
+        cli.convert_file(fixed_key, 1024, str(tmp_path / "missing.pcap"), str(out_dir),
+                         bad.format(tmp=tmp_path))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("bad", BAD_PREFIXES)
 def test_watch_rejects_prefixes_outside_the_output_dir(watch_setup, capsys, bad):
     in_dir, out_dir, cfg, drop = watch_setup
     drop("a.pcap", seed=1)

@@ -146,14 +146,15 @@ def test_output_invariant_to_input_chunking(fixed_key):
 
 
 def counting_anonymizer(monkeypatch):
-    """Replace the builder's HMAC with a cheap stand-in that logs each call."""
+    """Wrap the builder's HMAC so that it logs the bytes of each address it hashes."""
     calls = []
+    real_pseudonyms = matrix.pseudonyms
 
-    def anonymize_ip(key, ip_version, ip):
-        calls.append(ip)
-        return int.from_bytes(ip, "big")
+    def pseudonyms(key, ip_version, addrs):
+        calls.extend(addrs.view(f"V{addrs.dtype.itemsize}").tolist())
+        return real_pseudonyms(key, ip_version, addrs)
 
-    monkeypatch.setattr(matrix, "anonymize_ip", anonymize_ip)
+    monkeypatch.setattr(matrix, "pseudonyms", pseudonyms)
     return calls
 
 
@@ -196,6 +197,32 @@ def test_each_batch_is_pseudonymized_once(fixed_key, monkeypatch):
     windows = list(build_windows(stream(pairs), fixed_key, 2))
     assert len(windows) == 500
     assert calls == [1000]
+
+
+def test_each_batch_hashes_at_most_once_per_ip_version(fixed_key, monkeypatch):
+    calls = []
+    real_pseudonyms = matrix.pseudonyms
+
+    def pseudonyms(key, ip_version, addrs):
+        calls[-1].append(ip_version)
+        return real_pseudonyms(key, ip_version, addrs)
+
+    def batches():
+        rng = random.Random(3)
+        for b in range(6):
+            calls.append([])
+            yield batch(Packet(i, 4, bytes((10, 0, 0, rng.randrange(40))),
+                               bytes((10, 0, 1, rng.randrange(40))))
+                        if rng.random() < 0.5 else
+                        Packet(i, 6, b"\xfd" + bytes(14) + bytes((rng.randrange(40),)),
+                               b"\xfe" + bytes(14) + bytes((rng.randrange(40),)))
+                        for i in range(b * 300, (b + 1) * 300))
+
+    monkeypatch.setattr(matrix, "pseudonyms", pseudonyms)
+    windows = list(build_windows(batches(), fixed_key, 64))
+    assert sum(m.packet_count for m in windows) == 1800
+    assert len(calls) == 6 and calls[0] == [4, 6]
+    assert all(len(set(versions)) == len(versions) for versions in calls)
 
 
 def test_a_window_is_summed_once_per_doubling_of_its_cells(fixed_key, monkeypatch):

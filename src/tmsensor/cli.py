@@ -121,6 +121,9 @@ class SensorConfig:
             raise ConfigError(_WINDOW_SIZE_RULE)
         if self.quiescence_secs < 1 or self.poll_interval_secs < 1:
             raise ConfigError("quiescence_secs and poll_interval_secs must be >= 1")
+        if self.poll_interval_secs > threading.TIMEOUT_MAX:  # the longest wait allowed
+            raise ConfigError(
+                f"poll_interval_secs must be <= {int(threading.TIMEOUT_MAX)}")
         if not _valid_prefix(self.prefix):
             raise ConfigError(_PREFIX_RULE)
 

@@ -3,8 +3,10 @@
 Each run of ``window_size`` consecutive valid IP packets becomes one matrix:
 entry (src_id, dst_id) counts the packets sent from that anonymized source
 to that anonymized destination within the window. The 64-bit pseudonyms are
-used directly as sparse coordinates; no dense dimension or remapping table
-exists (a remapping table would itself be a de-anonymization risk).
+the sparse coordinates, and files hold only pseudonyms. While a window is
+built its cells are counted on 32-bit slots, indexes into an in-memory table
+of the pseudonyms seen; the slots never leave memory, so no file holds a
+remapping table (which would itself be a de-anonymization risk).
 
 A matrix holds coordinate (COO) arrays ``rows``, ``cols`` and ``counts``
 (``uint64``), strictly ordered by (row, col); every stage works on them whole.
@@ -35,9 +37,10 @@ DEFAULT_WINDOW_SIZE = 1 << 17  # 131,072 packets
 MIN_WINDOW_SIZE = 1 << 10
 MAX_WINDOW_SIZE = 1 << 24
 
-# Pseudonyms memoized across batches; past this many the memo is dropped
-# after the batch that passed it, so it holds at most this many plus one
-# batch's distinct addresses on any capture.
+# Pseudonyms memoized across batches. After a batch that leaves more than
+# max(this, 2 * kept) addresses in the memo's table, the memo restarts and
+# keeps only the open window's `kept` distinct slots. So the table holds at
+# most max(this, 2 * kept) addresses plus one batch's distinct ones.
 _ID_MEMO_LIMIT = 1 << 17
 
 
@@ -71,7 +74,7 @@ class TrafficMatrix:
             raise InvariantViolation(
                 "coordinates and counts must fit in 64 bits") from None
         return cls(window_size, packet_count, start_time_us, end_time_us, key_id,
-                   *_sum_cells([(cells[0::2], cells[1::2], counts)]))
+                   *_sum_cells([(cells[0::2], cells[1::2], counts)], _lexsort))
 
     @property
     def entries(self) -> Mapping[tuple[int, int], int]:
@@ -142,23 +145,29 @@ def build_windows(
     packet_count. Output is identical however the packets are split into
     batches.
 
-    Each batch's addresses are pseudonymized once, through a memo kept
-    across batches: the memo's misses are hashed in one ``pseudonyms`` call
-    per batch and IP version. The batch's pseudonym columns are then sliced
-    at window boundaries. The slices wait in the open window until their
-    packets outnumber the window's summed cells, or the window closes; one
-    sort then sums them together with those cells. So every sort but the
-    closing one takes in fewer than twice its new packets, and memory holds
-    the window's distinct cells, at most as many waiting packets and one
-    batch, never a per-packet array of a whole window. A batch holding an IP
-    version other than 4 or 6 raises ValueError.
+    Each batch's addresses are looked up once in a ``_Memo`` kept across
+    batches, which hashes its misses in one ``pseudonyms`` call per batch
+    and IP version and gives every address a 32-bit slot in its table of
+    pseudonyms. The batch's slot columns are then sliced at window
+    boundaries. The slices wait in the open window until their packets
+    outnumber the window's summed cells, or the window closes. A fold sums
+    them together with those cells by one sort on a 64-bit key of two slots;
+    so every fold takes in fewer than twice its new packets. A closing
+    window's slots are replaced by their pseudonyms once, and the cells are
+    summed and ordered by (row, col). Memory holds the open window's
+    distinct cells, at most as many waiting packets, one batch and the memo,
+    never a per-packet array of a whole window. The memo's table holds at
+    most max(``_ID_MEMO_LIMIT``, 2 * kept) addresses plus one batch's, where
+    kept, the slots its last restart kept, is no more than the open window's
+    distinct slots. A batch holding an IP version other than 4 or 6 raises
+    ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     key_id = key.key_id
-    memos = (_Memo(4, ">u4"), _Memo(6, "V16"))
+    memo = _Memo(key)
     # The open window: its `cells` summed cells, once there are any, then one
-    # (src, dst, ones) part per slice since, holding `waiting` packets.
+    # (src, dst, ones) part of slots per slice since, holding `waiting` packets.
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     count = waiting = cells = 0
     t_min = t_max = 0
@@ -168,11 +177,7 @@ def build_windows(
         if unknown.any():
             raise ValueError(
                 f"ip_version must be 4 or 6, got {batch.ip_version[unknown][0]}")
-        src_ids, dst_ids = _pseudonyms(key, memos, batch.ip_version,
-                                       batch.src_ip, batch.dst_ip)
-        if sum(map(len, memos)) > _ID_MEMO_LIMIT:
-            for memo in memos:
-                memo.clear()
+        src_slots, dst_slots = memo.slots(batch.ip_version, batch.src_ip, batch.dst_ip)
         n = len(batch.timestamp_us)
         lo = 0
         while lo < n:
@@ -180,67 +185,126 @@ def build_windows(
             ts = batch.timestamp_us[lo:hi]
             t_min = min(t_min, int(ts.min())) if count else int(ts.min())
             t_max = max(t_max, int(ts.max())) if count else int(ts.max())
-            parts.append((src_ids[lo:hi], dst_ids[lo:hi], np.ones(hi - lo, np.uint64)))
+            parts.append((src_slots[lo:hi], dst_slots[lo:hi], np.ones(hi - lo, np.uint64)))
             count += hi - lo
             waiting += hi - lo
             lo = hi
 
             if count == window_size:
                 yield TrafficMatrix(window_size, count, t_min, t_max, key_id,
-                                    *_sum_cells(parts))
+                                    *_close(parts, memo.ids))
                 count = waiting = cells = 0
             elif waiting > cells:
-                parts.append(_sum_cells(parts))
+                parts.append(_sum_cells(parts, _slot_order))
                 waiting, cells = 0, len(parts[0][0])
+        if len(memo) > max(_ID_MEMO_LIMIT, 2 * memo.kept):
+            memo.restart(parts)
 
     if count:
-        yield TrafficMatrix(window_size, count, t_min, t_max, key_id, *_sum_cells(parts))
+        yield TrafficMatrix(window_size, count, t_min, t_max, key_id, *_close(parts, memo.ids))
 
 
 class _Memo:
-    """Pseudonyms of the addresses of one IP version, in one sorted run.
-    Each lookup hashes all of its misses in one ``pseudonyms`` call."""
+    """The addresses seen, each with a 32-bit slot: its pseudonym's index in
+    ``ids``, one table that grows by doubling. Each IP version's addresses
+    are kept in one sorted run of (keys, slots). Each lookup hashes all of
+    its misses in one ``pseudonyms`` call per IP version.
 
-    def __init__(self, version: int, dtype: str):
-        self.version, self.dtype = version, np.dtype(dtype)  # an address's bytes as one key
-        self.clear()
+    ``restart`` drops the runs and keeps in the table only the slots of the
+    open window, ``kept`` of them; their addresses are hashed again if they
+    come back, under new slots, so ``kept`` is no more than the open window's
+    distinct addresses plus those that came back. ``build_windows`` restarts
+    the memo after a batch that leaves more than max(``_ID_MEMO_LIMIT``,
+    2 * kept) addresses in the table: the table holds at most that many plus
+    one batch's, and a window whose own addresses pass the limit restarts it
+    once per doubling, not after every batch."""
 
-    def clear(self) -> None:
-        self.run = (np.empty(0, self.dtype), np.empty(0, np.uint64))
+    _DTYPES = {4: np.dtype(">u4"), 6: np.dtype("V16")}  # an address's bytes as one key
+
+    def __init__(self, key: AnonKey):
+        self.key = key
+        self.ids = np.empty(0, np.uint64)
+        self.size = self.kept = 0
+        self.runs = self._empty_runs()
 
     def __len__(self) -> int:
-        return len(self.run[0])
+        """The number of addresses in the table."""
+        return self.size
 
-    def pseudonyms(self, key: AnonKey, addrs: np.ndarray) -> np.ndarray:
-        """The pseudonyms of distinct, sorted addresses; misses are hashed."""
-        keys, values = self.run
+    def slots(self, versions: np.ndarray, src: np.ndarray, dst: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The slots of one batch's source and destination addresses."""
+        n = len(versions)
+        addrs, versions = np.concatenate((src, dst)), np.concatenate((versions, versions))
+        slots = np.empty(2 * n, np.uint32)
+        for version, dtype in self._DTYPES.items():
+            sel = versions == version
+            if sel.any():
+                keys = addrs[sel, :dtype.itemsize].view(dtype).ravel()
+                distinct, inverse = np.unique(keys, return_inverse=True)
+                slots[sel] = self._lookup(version, distinct)[inverse]
+        return slots[:n], slots[n:]
+
+    def _lookup(self, version: int, addrs: np.ndarray) -> np.ndarray:
+        """The slots of distinct, sorted addresses; misses are hashed."""
+        keys, values = self.runs[version]
         at = np.searchsorted(keys, addrs)  # a hit's index, or a miss's place
         found = at < len(keys)
         found[found] = keys[at[found]] == addrs[found]
-        ids = np.empty(len(addrs), np.uint64)
-        ids[found] = values[at[found]]
+        slots = np.empty(len(addrs), np.uint32)
+        slots[found] = values[at[found]]
         miss = np.flatnonzero(~found)
         if len(miss):
             new_keys = addrs[miss]
-            new_ids = pseudonyms(key, self.version, new_keys)
-            ids[miss] = new_ids
-            self.run = (np.insert(keys, at[miss], new_keys),
-                        np.insert(values, at[miss], new_ids))
-        return ids
+            new_slots = self._append(pseudonyms(self.key, version, new_keys))
+            slots[miss] = new_slots
+            self.runs[version] = (np.insert(keys, at[miss], new_keys),
+                                  np.insert(values, at[miss], new_slots))
+        return slots
+
+    def _append(self, new_ids: np.ndarray) -> np.ndarray:
+        """Add pseudonyms to the table; returns their slots."""
+        lo, hi = self.size, self.size + len(new_ids)
+        if hi > len(self.ids):
+            table = np.empty(max(hi, 2 * len(self.ids)), np.uint64)
+            table[:lo] = self.ids[:lo]
+            self.ids = table
+        self.ids[lo:hi] = new_ids
+        self.size = hi
+        return np.arange(lo, hi, dtype=np.uint32)
+
+    def restart(self, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """Drop the runs, and keep in the table only the slots that the
+        (src, dst, counts) ``parts`` use, renumbered from 0 in place."""
+        used = np.zeros(self.size, bool)
+        for src, dst, _ in parts:
+            used[src] = used[dst] = True
+        kept = np.flatnonzero(used)
+        renumber = np.empty(self.size, np.uint32)
+        renumber[kept] = np.arange(len(kept))
+        parts[:] = [(renumber[src], renumber[dst], counts) for src, dst, counts in parts]
+        self.ids = self.ids[kept]
+        self.size = self.kept = len(kept)
+        self.runs = self._empty_runs()
+
+    @classmethod
+    def _empty_runs(cls) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        return {v: (np.empty(0, dtype), np.empty(0, np.uint32))
+                for v, dtype in cls._DTYPES.items()}
 
 
-def _pseudonyms(key, memos, versions, src, dst):
-    """The pseudonyms of one batch's source and destination addresses."""
-    n = len(versions)
-    addrs, versions = np.concatenate((src, dst)), np.concatenate((versions, versions))
-    ids = np.empty(2 * n, np.uint64)
-    for memo in memos:
-        sel = versions == memo.version
-        if sel.any():
-            keys = addrs[sel, :memo.dtype.itemsize].view(memo.dtype).ravel()
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            ids[sel] = memo.pseudonyms(key, distinct)[inverse]
-    return ids[:n], ids[n:]
+def _close(parts, ids):
+    """A closing window's cells: the slots of ``parts`` replaced by their
+    pseudonyms ``ids``, summed and ordered by (row, col). Empties ``parts``."""
+    cells = [(ids[src], ids[dst], counts) for src, dst, counts in parts]
+    parts.clear()
+    return _sum_cells(cells, _lexsort)
+
+
+def _slot_order(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The order of slot cells by one 64-bit key; equal keys are one cell,
+    so the sort need not be stable."""
+    return np.argsort(src.astype(np.uint64) << 32 | dst)
 
 
 def _lexsort(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -256,7 +320,7 @@ def _merge_runs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.argsort(key.view("V16").ravel(), kind="stable")
 
 
-def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], sort=_lexsort
+def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], sort
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort the cells of ``parts``, each a (rows, cols, counts) triple, by
     (row, col) and add up the counts of equal cells. ``sort(rows, cols)``

@@ -652,6 +652,7 @@ def test_config_rejects_bad_lines(tmp_path, line):
         "window_size = 33554432",
         "quiescence_secs = 0",
         "poll_interval_secs = 0",
+        "poll_interval_secs = 10000000000",
     ],
 )
 def test_config_validation_bounds(tmp_path, key_file, overrides):
@@ -1018,6 +1019,29 @@ def test_watch_malformed_journal_is_data_error(watch_setup, capsys):
     in_dir, out_dir, cfg, drop = watch_setup
     (out_dir / "tmsensor.journal").write_text("definitely not a journal\n")
     assert cli.main(["watch", "--config", cfg, "--once"]) == 2
+
+
+def test_watch_rejects_a_poll_interval_too_long_to_wait(watch_setup, capsys):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop("a.pcap", seed=1)
+    with open(cfg, "a", encoding="utf-8") as f:
+        f.write("poll_interval_secs = 10000000000\n")
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 3
+    err = capsys.readouterr().err
+    assert "poll_interval_secs must be <=" in err and "Traceback" not in err
+    assert list(out_dir.rglob("*.tmf")) == []
+
+
+def test_config_accepts_the_longest_poll_interval(tmp_path, key_file):
+    longest = int(threading.TIMEOUT_MAX)
+    path = write_config(tmp_path, f"key_path = {key_file}\ninput_dir = /in\n"
+                                  f"output_dir = /out\npoll_interval_secs = {longest}\n")
+    cli.parse_config(path).validate()
+    lock = threading.Lock()  # free, so the wait is only checked, not made
+    assert lock.acquire(timeout=longest)
+    lock.release()
+    with pytest.raises(OverflowError):
+        lock.acquire(timeout=longest + 1)
 
 
 def test_watch_missing_directories_is_environment_error(tmp_path, key_file,

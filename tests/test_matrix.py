@@ -186,13 +186,13 @@ def test_address_memo_is_dropped_past_its_bound(fixed_key, monkeypatch):
 
 def test_each_batch_is_pseudonymized_once(fixed_key, monkeypatch):
     calls = []
-    pseudonyms = matrix._pseudonyms
+    slots = matrix._Memo.slots
 
-    def counted(*args):
-        calls.append(len(args[2]))
-        return pseudonyms(*args)
+    def counted(memo, versions, src, dst):
+        calls.append(len(versions))
+        return slots(memo, versions, src, dst)
 
-    monkeypatch.setattr(matrix, "_pseudonyms", counted)
+    monkeypatch.setattr(matrix._Memo, "slots", counted)
     pairs = [((10, 0, 0, i % 7), (10, 0, 1, i % 5)) for i in range(1000)]
     windows = list(build_windows(stream(pairs), fixed_key, 2))
     assert len(windows) == 500
@@ -229,9 +229,9 @@ def test_a_window_is_summed_once_per_doubling_of_its_cells(fixed_key, monkeypatc
     calls = []
     sum_cells = matrix._sum_cells
 
-    def counted(parts):
+    def counted(parts, sort):
         calls.append(len(parts))
-        return sum_cells(parts)
+        return sum_cells(parts, sort)
 
     monkeypatch.setattr(matrix, "_sum_cells", counted)
     counting_anonymizer(monkeypatch)
@@ -244,13 +244,13 @@ def test_a_window_is_summed_once_per_doubling_of_its_cells(fixed_key, monkeypatc
     assert len(calls) <= 8
 
 
-def brute_force_windows(key, packets, window_size):
-    """Each window counted packet by packet, with anonymize_ip per address."""
+def brute_force_windows(key, packets, window_size, anonymize=anonymize_ip):
+    """Each window counted packet by packet, with ``anonymize`` per address."""
     ids = {}
 
     def pseudonym(version, ip):
         if (version, ip) not in ids:
-            ids[version, ip] = anonymize_ip(key, version, ip)
+            ids[version, ip] = anonymize(key, version, ip)
         return ids[version, ip]
 
     windows = []
@@ -266,12 +266,9 @@ def brute_force_windows(key, packets, window_size):
     return windows
 
 
-@settings(max_examples=100, deadline=None)
-@given(hosts=st.integers(2, 5000), packets=st.integers(0, 5000),
-       window_size=st.integers(1, 4096), sizes=st.lists(st.integers(0, 1500), max_size=10),
-       seed=st.integers(0, 1 << 32))
-def test_windows_equal_a_brute_force_count(hosts, packets, window_size, sizes, seed):
-    key = AnonKey(bytes(range(32)))
+def mixed_stream(hosts, packets, sizes, seed):
+    """Random IPv4 and IPv6 packets between ``hosts`` hosts, and the same
+    packets cut into batches of the given sizes (the rest in a last one)."""
     rng = random.Random(seed)
     addresses = [(4, (0x0A000000 + h).to_bytes(4, "big")) if rng.random() < 0.5
                  else (6, b"\xfd" + bytes(11) + h.to_bytes(4, "big"))
@@ -286,9 +283,96 @@ def test_windows_equal_a_brute_force_count(hosts, packets, window_size, sizes, s
     for size in sizes:
         cuts.append(min(packets, cuts[-1] + size))
     cuts.append(packets)
-    batches = [batch(stream_packets[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return stream_packets, [batch(stream_packets[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hosts=st.integers(2, 5000), packets=st.integers(0, 5000),
+       window_size=st.integers(1, 4096), sizes=st.lists(st.integers(0, 1500), max_size=10),
+       seed=st.integers(0, 1 << 32))
+def test_windows_equal_a_brute_force_count(hosts, packets, window_size, sizes, seed):
+    key = AnonKey(bytes(range(32)))
+    stream_packets, batches = mixed_stream(hosts, packets, sizes, seed)
     assert list(build_windows(batches, key, window_size)) == brute_force_windows(
         key, stream_packets, window_size)
+
+
+@pytest.mark.parametrize("limit", [1, 8, 64])
+@settings(max_examples=80, deadline=None)
+@given(hosts=st.integers(2, 400), packets=st.integers(0, 1500),
+       window_size=st.integers(1, 1024), sizes=st.lists(st.integers(0, 120), max_size=24),
+       seed=st.integers(0, 1 << 32))
+def test_windows_equal_a_brute_force_count_across_memo_restarts(
+        limit, hosts, packets, window_size, sizes, seed):
+    key = AnonKey(bytes(range(32)))
+    stream_packets, batches = mixed_stream(hosts, packets, sizes, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_ID_MEMO_LIMIT", limit)
+        windows = list(build_windows(batches, key, window_size))
+    assert windows == brute_force_windows(key, stream_packets, window_size)
+
+
+def test_a_window_past_the_memo_limit_restarts_it_once_per_doubling(fixed_key, monkeypatch):
+    restarts = []
+    restart = matrix._Memo.restart
+
+    def counted(memo, parts):
+        restarts.append(len(memo))
+        return restart(memo, parts)
+
+    monkeypatch.setattr(matrix._Memo, "restart", counted)
+    monkeypatch.setattr(matrix, "_ID_MEMO_LIMIT", 8)
+    # 64 batches of 16 packets in one window, each packet between two new hosts.
+    packets = [make_packet((i << 1).to_bytes(4, "big"), (i << 1 | 1).to_bytes(4, "big"), i)
+               for i in range(1 << 10)]
+    batches = [batch(packets[lo : lo + 16]) for lo in range(0, len(packets), 16)]
+    (m,) = build_windows(batches, fixed_key, 1 << 20)
+    assert m == brute_force_windows(fixed_key, packets, 1 << 20)[0]
+    # The first restart keeps the first batch's 32 addresses, and each one
+    # after waits for the table to pass twice what the one before kept.
+    assert restarts == [32, 96, 224, 480, 992, 2016]
+    assert len(restarts) <= (2 * len(packets) // 32).bit_length()
+
+
+def test_addresses_that_share_a_pseudonym_share_their_cells(fixed_key, monkeypatch):
+    """Distinct addresses, of either IP version, whose pseudonyms are equal
+    have distinct slots but are counted in one cell, as the pseudonyms say."""
+    real_pseudonyms = matrix.pseudonyms
+
+    def colliding(key, ip_version, addrs):
+        return real_pseudonyms(key, ip_version, addrs) % np.uint64(5)
+
+    def colliding_ip(key, ip_version, ip):
+        return anonymize_ip(key, ip_version, ip) % 5
+
+    monkeypatch.setattr(matrix, "pseudonyms", colliding)
+    stream_packets, batches = mixed_stream(60, 3000, [100, 900, 5, 700], seed=8)
+    for limit in (matrix._ID_MEMO_LIMIT, 4):
+        monkeypatch.setattr(matrix, "_ID_MEMO_LIMIT", limit)
+        windows = list(build_windows(batches, fixed_key, 1024))
+        assert windows == brute_force_windows(fixed_key, stream_packets, 1024, colliding_ip)
+        assert all(len(m.entries) <= 25 for m in windows)
+
+
+def test_folds_sum_slots_and_only_a_closing_window_is_lexsorted(fixed_key, monkeypatch):
+    calls = {"lexsort": 0, "slot_order": 0}
+
+    def counting(name, sort):
+        def counted(rows, cols):
+            calls[name] += 1
+            return sort(rows, cols)
+        return counted
+
+    monkeypatch.setattr(matrix, "_lexsort", counting("lexsort", matrix._lexsort))
+    monkeypatch.setattr(matrix, "_slot_order", counting("slot_order", matrix._slot_order))
+    # 64 batches of 1 000 packets, every cell new, in windows of 8 192 packets.
+    batches = [batch(make_packet(bytes((10, 0, 0, i >> 8)), bytes((10, 1, 0, i & 255)), i)
+                     for i in range(b * 1000, (b + 1) * 1000))
+               for b in range(64)]
+    windows = list(build_windows(batches, fixed_key, 1 << 13))
+    assert [m.packet_count for m in windows] == [1 << 13] * 7 + [64_000 - 7 * (1 << 13)]
+    assert calls["lexsort"] == len(windows)
+    assert calls["slot_order"] >= 2 * len(windows)
 
 
 def mixed_capture(packets: int, seed: int) -> bytes:

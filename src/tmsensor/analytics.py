@@ -1,15 +1,20 @@
 """Network quantities computed from traffic matrices.
 
-All values are exact counts: ``np.unique`` groups a matrix's cells by source
-and by destination, and per-host packets are summed in ``uint64``. No
-statistical fitting happens here; reports are deterministic and directly
-comparable across windows.
+All values are exact counts: a matrix's cells are grouped by source in their
+(row, col) order and by destination after one sort of the columns, per-host
+packets are summed in ``uint64``, and ``np.bincount`` counts the hosts of
+each degree. No statistical fitting happens here; reports are deterministic
+and directly comparable across windows.
+
+``analyze_many`` can hand each window's report on as soon as it exists, and
+``format_report_text`` and ``format_report_json`` render one report on its
+own, so a caller can write reports out one at a time and keep none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,8 +45,9 @@ class AnalysisReport:
 
 def analyze(m: TrafficMatrix) -> AnalysisReport:
     """Compute the full report for one (valid) matrix."""
-    src_packets, fanout = _per_host(m.rows, m.counts)
-    dst_packets, fanin = _per_host(m.cols, m.counts)
+    src_packets, fanout = _per_host(m.rows, m.counts)  # cells come in row order
+    by_col = np.argsort(m.cols)
+    dst_packets, fanin = _per_host(m.cols[by_col], m.counts[by_col])
     return AnalysisReport(
         valid_packets=int(m.counts.sum()),
         unique_links=len(m.counts),
@@ -58,22 +64,31 @@ def analyze(m: TrafficMatrix) -> AnalysisReport:
 
 
 def _per_host(ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packets and degree (distinct peers) of each distinct host in ids."""
-    _, host, degree = np.unique(ids, return_inverse=True, return_counts=True)
-    packets = np.zeros(len(degree), np.uint64)
-    np.add.at(packets, host, counts)  # exact, unlike bincount's float weights
-    return packets, degree
+    """Packets and degree (distinct peers) of each distinct host in ``ids``,
+    which are sorted, so that each host's cells are one run."""
+    first = np.ones(len(ids), bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # uint64 sums are exact, unlike bincount's float weights
+    packets = np.add.reduceat(counts, starts) if len(starts) else counts[:0]
+    return packets, np.diff(starts, append=len(ids))
 
 
 def _histogram(degree: np.ndarray) -> dict[int, int]:
-    values, hosts = np.unique(degree, return_counts=True)
-    return dict(zip(values.tolist(), hosts.tolist()))
+    hosts = np.bincount(degree)
+    values = np.flatnonzero(hosts)  # ascending
+    return dict(zip(values.tolist(), hosts[values].tolist()))
 
 
 def analyze_many(
     ms: Iterable[TrafficMatrix],
-) -> tuple[list[AnalysisReport], AnalysisReport]:
+    emit: Callable[[AnalysisReport], None] | None = None,
+):
     """Per-window reports plus the report of the merged whole.
+
+    With ``emit``, each window's report is handed to ``emit`` as soon as it
+    exists, in input order, none is kept, and the merged report is
+    returned. Without it, the call returns ``(reports, merged)``.
 
     The merged report comes from merging the matrices and analyzing the
     result; max- and unique-type fields do not sum across windows, so
@@ -82,13 +97,15 @@ def analyze_many(
     ``ms`` is read once, in order, and may be any iterable. Matrices wait
     until their cells outnumber the merged matrix's cells; then each waiting
     one is reported and all are folded into the merged matrix. So memory
-    holds the merged cells, at most about as many waiting cells and the
-    reports, not every matrix. Reporting a run of matrices at a time, not
-    each as it is read, keeps reading and analysis in separate loops, which
-    is faster. A key, window-size or packet-count mismatch raises when the
-    mismatching matrix is folded in.
+    holds the merged cells and at most about as many waiting cells, not
+    every matrix. Reporting a run of matrices at a time, not each as it is
+    read, keeps reading and analysis in separate loops, which is faster. A
+    key, window-size or packet-count mismatch raises when the mismatching
+    matrix is folded in.
     """
-    reports: list[AnalysisReport] = []
+    if emit is None:
+        reports: list[AnalysisReport] = []
+        return reports, analyze_many(ms, reports.append)
     merged: list[TrafficMatrix] = []  # the merged matrix, once there is one
     waiting: list[TrafficMatrix] = []
     merged_cells = waiting_cells = 0
@@ -96,14 +113,19 @@ def analyze_many(
         waiting.append(m)
         waiting_cells += len(m.counts)
         if waiting_cells > merged_cells:
-            reports += map(analyze, waiting)
+            for report in map(analyze, waiting):
+                emit(report)
             merged = [merge(*merged, *waiting)]
             waiting, merged_cells, waiting_cells = [], len(merged[0].counts), 0
-    reports += map(analyze, waiting)
+    for report in map(analyze, waiting):
+        emit(report)
     parts = merged + waiting
     if not parts:
-        return reports, AnalysisReport()
-    return reports, analyze(parts[0] if len(parts) == 1 else merge(*parts))
+        return AnalysisReport()
+    return analyze(parts[0] if len(parts) == 1 else merge(*parts))
+
+
+_FIELD_NAMES = [f.name for f in fields(AnalysisReport)]
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -113,6 +135,23 @@ def report_to_dict(report: AnalysisReport) -> dict:
         value = getattr(report, f.name)
         doc[f.name] = dict(sorted(value.items())) if isinstance(value, dict) else value
     return doc
+
+
+def format_report_json(report: AnalysisReport, depth: int = 0) -> str:
+    """The report as ``json.dumps(report_to_dict(report), indent=2)`` writes
+    it, nested ``depth`` levels deep: each line after the first is indented
+    by ``2 * depth`` more spaces."""
+    pad = "\n" + "  " * (depth + 1)  # before each field
+    inner = pad + "  "  # before each histogram entry
+    items = []
+    for name in _FIELD_NAMES:
+        value = getattr(report, name)
+        if isinstance(value, dict):
+            value = "{" + inner + ("," + inner).join(
+                [f'"{degree}": {n}' for degree, n in sorted(value.items())]
+            ) + pad + "}" if value else "{}"
+        items.append(f'"{name}": {value}')
+    return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
 
 
 def format_report_text(report: AnalysisReport) -> str:

@@ -12,18 +12,21 @@ Diagnostics go to stderr; reports and data go to stdout or files.
 from __future__ import annotations
 
 import argparse
+import collections
 import filecmp
 import hashlib
 import itertools
 import os
 import re
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .analytics import analyze_many, format_report_text, report_to_dict
+from .analytics import analyze_many, format_report_json, format_report_text
 from .anon import AnonKey, generate_key, load_key, save_key
 from .errors import (
     ConfigError,
@@ -334,7 +337,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    origins = []
+    origins = collections.deque()  # (path, block) of each block read, not yet reported
 
     def blocks():
         for path in args.files:
@@ -346,32 +349,48 @@ def cmd_analyze(args) -> int:
             except (SensorError, OSError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc  # main picks the exit code
 
-    # Reports are printed only once every file has been read, so a fault in
-    # a later file leaves stdout empty.
-    reports, merged = analyze_many(blocks())
-
+    # window(n, ...) renders the n-th window's report after ``start``, and
+    # ending(n, merged) what follows n windows; every file holds a block.
     if args.format == "json":
-        import json
+        from json.encoder import encode_basestring_ascii as quote
 
-        doc = {
-            "windows": [
-                {"file": path, "block": block, "report": report_to_dict(r)}
-                for (path, block), r in zip(origins, reports)
-            ],
-            "merged": report_to_dict(merged),
-        }
-        json.dump(doc, sys.stdout, indent=2)  # streamed, not built as one string
-        print()
+        start = '{\n  "windows": ['
+
+        def window(n, path, block, report):
+            return ((",\n    " if n else "\n    ")
+                    + '{\n      "file": ' + quote(path) + ',\n      "block": ' + str(block)
+                    + ',\n      "report": ' + format_report_json(report, 3) + "\n    }")
+
+        def ending(n, merged):
+            return '\n  ],\n  "merged": ' + format_report_json(merged, 1) + "\n}\n"
     else:
-        for (path, block), r in zip(origins, reports):
-            print("report=window")
-            print(f"file={path}")
-            print(f"block={block}")
-            print(format_report_text(r))
-            print()
-        print("report=merged")
-        print(f"windows={len(reports)}")
-        print(format_report_text(merged))
+        start = ""
+
+        def window(n, path, block, report):
+            return (f"report=window\nfile={path}\nblock={block}\n"
+                    f"{format_report_text(report)}\n\n")
+
+        def ending(n, merged):
+            return f"report=merged\nwindows={n}\n{format_report_text(merged)}\n"
+
+    # Each report is written as it is made, to an unnamed temporary file that
+    # is copied to stdout only once every file has been read, so a fault in a
+    # later file leaves stdout empty. The text goes back out as it came in:
+    # surrogatepass carries any str, undecodable file names too.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass",
+                                newline="") as out:
+        out.write(start)
+        windows = 0
+
+        def emit(report):
+            nonlocal windows
+            out.write(window(windows, *origins.popleft(), report))
+            windows += 1
+
+        merged = analyze_many(blocks(), emit)
+        out.write(ending(windows, merged))
+        out.seek(0)
+        shutil.copyfileobj(out, sys.stdout)
     return EXIT_OK
 
 

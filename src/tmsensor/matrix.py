@@ -39,8 +39,8 @@ MAX_WINDOW_SIZE = 1 << 24
 
 # Pseudonyms memoized across batches. After a batch that leaves more than
 # max(this, 2 * kept) addresses in the memo's table, the memo restarts and
-# keeps only the open window's `kept` distinct slots. So the table holds at
-# most max(this, 2 * kept) addresses plus one batch's distinct ones.
+# keeps only the open window's `kept` distinct addresses. So the table holds
+# at most max(this, 2 * kept) addresses plus one batch's distinct ones.
 _ID_MEMO_LIMIT = 1 << 17
 
 
@@ -158,9 +158,9 @@ def build_windows(
     distinct cells, at most as many waiting packets, one batch and the memo,
     never a per-packet array of a whole window. The memo's table holds at
     most max(``_ID_MEMO_LIMIT``, 2 * kept) addresses plus one batch's, where
-    kept, the slots its last restart kept, is no more than the open window's
-    distinct slots. A batch holding an IP version other than 4 or 6 raises
-    ValueError.
+    kept, the addresses its last restart kept, is no more than the open
+    window's distinct addresses. A batch holding an IP version other than 4
+    or 6 raises ValueError.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -210,14 +210,14 @@ class _Memo:
     are kept in one sorted run of (keys, slots). Each lookup hashes all of
     its misses in one ``pseudonyms`` call per IP version.
 
-    ``restart`` drops the runs and keeps in the table only the slots of the
-    open window, ``kept`` of them; their addresses are hashed again if they
-    come back, under new slots, so ``kept`` is no more than the open window's
-    distinct addresses plus those that came back. ``build_windows`` restarts
-    the memo after a batch that leaves more than max(``_ID_MEMO_LIMIT``,
-    2 * kept) addresses in the table: the table holds at most that many plus
-    one batch's, and a window whose own addresses pass the limit restarts it
-    once per doubling, not after every batch."""
+    ``restart`` keeps only the open window's slots, ``kept`` of them, and
+    the run entries of their addresses, so ``kept`` is the open window's
+    distinct addresses, and one that comes back keeps its slot and is not
+    hashed again. ``build_windows`` restarts the memo after a batch that
+    leaves more than max(``_ID_MEMO_LIMIT``, 2 * kept) addresses in the
+    table: the table holds at most that many plus one batch's, and a window
+    whose own addresses pass the limit restarts it once per doubling, not
+    after every batch."""
 
     _DTYPES = {4: np.dtype(">u4"), 6: np.dtype("V16")}  # an address's bytes as one key
 
@@ -225,7 +225,8 @@ class _Memo:
         self.key = key
         self.ids = np.empty(0, np.uint64)
         self.size = self.kept = 0
-        self.runs = self._empty_runs()
+        self.runs = {v: (np.empty(0, dtype), np.empty(0, np.uint32))
+                     for v, dtype in self._DTYPES.items()}
 
     def __len__(self) -> int:
         """The number of addresses in the table."""
@@ -274,8 +275,8 @@ class _Memo:
         return np.arange(lo, hi, dtype=np.uint32)
 
     def restart(self, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-        """Drop the runs, and keep in the table only the slots that the
-        (src, dst, counts) ``parts`` use, renumbered from 0 in place."""
+        """Keep only the slots that the (src, dst, counts) ``parts`` use, and
+        the addresses that have them, renumbered from 0 in place."""
         used = np.zeros(self.size, bool)
         for src, dst, _ in parts:
             used[src] = used[dst] = True
@@ -283,14 +284,11 @@ class _Memo:
         renumber = np.empty(self.size, np.uint32)
         renumber[kept] = np.arange(len(kept))
         parts[:] = [(renumber[src], renumber[dst], counts) for src, dst, counts in parts]
+        for version, (keys, slots) in self.runs.items():
+            keep = used[slots]
+            self.runs[version] = (keys[keep], renumber[slots[keep]])
         self.ids = self.ids[kept]
         self.size = self.kept = len(kept)
-        self.runs = self._empty_runs()
-
-    @classmethod
-    def _empty_runs(cls) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        return {v: (np.empty(0, dtype), np.empty(0, np.uint32))
-                for v, dtype in cls._DTYPES.items()}
 
 
 def _close(parts, ids):

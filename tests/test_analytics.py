@@ -2,13 +2,16 @@
 
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmsensor.analytics import (
     AnalysisReport,
+    _histogram,
     analyze,
     analyze_many,
     format_report_text,
@@ -97,6 +100,17 @@ def test_matches_brute_force_on_random_packet_lists():
         assert report == brute_force_report(pairs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=300))
+def test_matches_brute_force_on_64_bit_hosts(hosts, picks):
+    pairs = [(hosts[s % len(hosts)], hosts[d % len(hosts)]) for s, d in picks]
+    entries: dict = {}
+    for pair in pairs:
+        entries[pair] = entries.get(pair, 0) + 1
+    assert analyze(matrix_of(entries)) == brute_force_report(pairs)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.dictionaries(
@@ -122,6 +136,19 @@ def test_determinism():
     rng = random.Random(8)
     m = matrix_of(random_entries(rng, 50))
     assert analyze(m) == analyze(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3000)))
+def test_histogram_counts_the_hosts_of_each_degree(degrees):
+    histogram = _histogram(np.array(degrees, np.int64))
+    assert histogram == Counter(degrees)
+    assert list(histogram) == sorted(histogram)
+    assert all(type(k) is int and type(v) is int for k, v in histogram.items())
+
+
+def test_histogram_of_no_hosts_is_empty():
+    assert _histogram(np.array([], np.int64)) == {}
 
 
 def test_analyze_many_empty_sequence():

@@ -1,9 +1,12 @@
 """Command-line behavior: flags, exit codes, outputs, watch mode."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import random
 import re
 import stat
 import struct
@@ -18,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmsensor import cli
+from tmsensor.analytics import analyze_many, format_report_text, report_to_dict
 from tmsensor.anon import load_key, save_key
 from tmsensor.errors import ConfigError
 from tmsensor.matrix import TrafficMatrix
 from tmsensor.synth import SynthSpec, synthesize
-from tmsensor.tmf import MAGIC, read_tmf, write_tmf
+from tmsensor.tmf import MAGIC, iter_tmf, read_tmf, write_tmf
 
 from conftest import (
     eth_frame,
@@ -553,6 +557,131 @@ def test_analyze_json_is_written_as_it_is_rendered(tmp_path):
     _, json_mb = run_python(code, "--format", "json", *[str(path)] * 8)
     # The document as one string adds about 14 MB here; the dicts about 3 MB.
     assert json_mb - text_mb < 5, f"peak {text_mb:.1f} MB as text, {json_mb:.1f} MB as JSON"
+
+
+def rendered_as_before(files, form) -> str:
+    """``analyze``'s output as it was rendered from every report kept: the
+    document built as dicts and written by ``json.dump(indent=2)``, or the
+    text printed line by line."""
+    origins, matrices = [], []
+    for path in files:
+        with open(path, "rb") as f:
+            for block, m in enumerate(iter_tmf(f)):
+                origins.append((path, block))
+                matrices.append(m)
+    reports, merged = analyze_many(matrices)
+    out = io.StringIO()
+    if form == "json":
+        doc = {
+            "windows": [
+                {"file": path, "block": block, "report": report_to_dict(r)}
+                for (path, block), r in zip(origins, reports)
+            ],
+            "merged": report_to_dict(merged),
+        }
+        json.dump(doc, out, indent=2)
+        print(file=out)
+    else:
+        for (path, block), r in zip(origins, reports):
+            print("report=window", file=out)
+            print(f"file={path}", file=out)
+            print(f"block={block}", file=out)
+            print(format_report_text(r), file=out)
+            print(file=out)
+        print("report=merged", file=out)
+        print(f"windows={len(reports)}", file=out)
+        print(format_report_text(merged), file=out)
+    return out.getvalue()
+
+
+def pooled_matrix(rng, hosts=12, max_cells=60) -> TrafficMatrix:
+    """A window whose cells join a few hosts, so that degrees vary."""
+    cells = {(rng.randrange(hosts) << 40, rng.randrange(hosts)): rng.randrange(1, 1000)
+             for _ in range(rng.randrange(1, max_cells))}
+    return TrafficMatrix.from_entries(1024, sum(cells.values()), 1, 2, b"\x0b" * 8, cells)
+
+
+def analyze_inputs(tmp_path, case) -> list[str]:
+    rng = random.Random(case)
+    empty = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x0b" * 8, {})
+    if case == "one-block":
+        files = {"one.tmf": [pooled_matrix(rng)]}
+    elif case == "empty-block":  # every histogram is {}
+        files = {"empty.tmf": [empty]}
+    elif case == "multi-block-files":
+        blocks = [pooled_matrix(rng) for _ in range(12)]
+        files = {"a.tmf": blocks[:5], "b.tmf": [blocks[5], empty, *blocks[6:9]],
+                 "c.tmf": [*blocks[9:], blocks[0], pooled_matrix(rng, 200, 2000)]}
+    else:  # names that JSON must escape, and one that is not UTF-8
+        names = ['quote".tmf', "back\\slash.tmf", "caf\u00e9-\u6d41\u91cf.tmf",
+                 os.fsdecode(b"raw\xff.tmf")]
+        files = {name: [pooled_matrix(rng) for _ in range(i + 1)]
+                 for i, name in enumerate(names)}
+    paths = []
+    for name, blocks in files.items():
+        with open(tmp_path / name, "wb") as f:
+            write_tmf(blocks, f)
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+@pytest.mark.parametrize("case", ["one-block", "empty-block", "multi-block-files",
+                                  "odd-names"])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_analyze_output_is_byte_identical_to_the_kept_report_rendering(
+        tmp_path, form, case):
+    files = analyze_inputs(tmp_path, case)
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", "--format", form, *files]) == 0
+    out.flush()
+    want = rendered_as_before(files, form)
+    assert raw.getvalue() == want.encode("utf-8", "surrogateescape")
+    if form == "json":
+        doc = json.loads(raw.getvalue())
+        assert doc["windows"][0]["file"] == files[0]
+        assert (doc["merged"]["fanin_histogram"] == {}) == (case == "empty-block")
+
+
+def test_analyze_memory_does_not_grow_with_the_windows(tmp_path):
+    """64 copies of a file add windows but no merged cells, so the reports,
+    which are written out as they are made, must not add to the peak."""
+    # 3 groups of 11 sources; source j of a group sends to destinations
+    # 0..j of its group. So each window has 198 cells, 11 fan-out degrees
+    # and 11 fan-in degrees.
+    fanout = np.tile(np.arange(1, 12), 3)
+    rows = np.repeat(np.arange(len(fanout), dtype=np.uint64), fanout)
+    group = np.repeat(np.arange(len(fanout)) // 11, fanout)
+    place = np.arange(len(rows)) - np.repeat(np.cumsum(fanout) - fanout, fanout)
+    cols = (1000 * group + place).astype(np.uint64)
+    counts = np.random.default_rng(5).integers(1, 50, (100, len(rows)), dtype=np.uint64)
+    path = tmp_path / "windows.tmf"
+    with open(path, "wb") as f:
+        write_tmf((TrafficMatrix(1 << 20, int(c.sum()), i, i + 1, b"\x0b" * 8, rows, cols, c)
+                   for i, c in enumerate(counts)), f)
+    code = ("import contextlib, os, sys\nfrom tmsensor.cli import main\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    assert main(['analyze', *sys.argv[1:]]) == 0")
+    for form in ("json", "text"):
+        _, once_mb = run_python(code, "--format", form, str(path))
+        _, many_mb = run_python(code, "--format", form, *[str(path)] * 64)
+        # Keeping the 6 400 reports added 21.9 MB as JSON and 10.1 MB as
+        # text here; written out as they are made, they add under 0.5 MB.
+        assert many_mb - once_mb < 3, (
+            f"{form}: peak {once_mb:.1f} MB for 1 copy, {many_mb:.1f} MB for 64")
+
+
+def test_analyze_without_a_temp_file_exits_3_and_prints_nothing(
+        converted, tmp_path, monkeypatch, capsys):
+    # tempfile falls back to /tmp when $TMPDIR is missing, so the directory
+    # it has settled on is replaced instead.
+    tmf_path, _ = converted
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert cli.main(["analyze", tmf_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_analyze_huge_entry_count_is_data_error(tmp_path, capsys):

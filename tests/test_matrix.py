@@ -334,6 +334,35 @@ def test_a_window_past_the_memo_limit_restarts_it_once_per_doubling(fixed_key, m
     assert len(restarts) <= (2 * len(packets) // 32).bit_length()
 
 
+def test_a_memo_restart_keeps_the_open_window_addresses_hashed(fixed_key, monkeypatch):
+    calls = counting_anonymizer(monkeypatch)
+    restarts = []
+    restart = matrix._Memo.restart
+
+    def counted(memo, parts):
+        restarts.append(len(memo))
+        return restart(memo, parts)
+
+    monkeypatch.setattr(matrix._Memo, "restart", counted)
+    monkeypatch.setattr(matrix, "_ID_MEMO_LIMIT", 8)
+
+    def fresh(i):  # a packet between two addresses seen nowhere else
+        return make_packet((i << 1).to_bytes(4, "big"), (i << 1 | 1).to_bytes(4, "big"), i)
+
+    closed = fresh(100)  # in the first window, which closes before the restart
+    kept_v4 = fresh(200)
+    kept_v6 = Packet(201, 6, b"\xfd" + bytes(15), b"\xfe" + bytes(15))
+    first = [closed, *map(fresh, range(1, 16)), kept_v4, kept_v6, *map(fresh, range(16, 20))]
+    again = [kept_v6, closed, kept_v4]
+    packets = first + again
+    windows = list(build_windows([batch(first), batch(again)], fixed_key, 16))
+    assert windows == brute_force_windows(fixed_key, packets, 16)
+    assert restarts == [44]  # after the first batch, keeping the second window's 12
+    for p in (kept_v4, kept_v6):
+        assert calls.count(p.src_ip) == calls.count(p.dst_ip) == 1
+    assert calls.count(closed.src_ip) == calls.count(closed.dst_ip) == 2
+
+
 def test_addresses_that_share_a_pseudonym_share_their_cells(fixed_key, monkeypatch):
     """Distinct addresses, of either IP version, whose pseudonyms are equal
     have distinct slots but are counted in one cell, as the pseudonyms say."""

@@ -131,9 +131,9 @@ _FIELD_NAMES = [f.name for f in fields(AnalysisReport)]
 def report_to_dict(report: AnalysisReport) -> dict:
     """Report as a plain dict in field order, histograms sorted by degree."""
     doc = {}
-    for f in fields(AnalysisReport):
-        value = getattr(report, f.name)
-        doc[f.name] = dict(sorted(value.items())) if isinstance(value, dict) else value
+    for name in _FIELD_NAMES:
+        value = getattr(report, name)
+        doc[name] = dict(sorted(value.items())) if isinstance(value, dict) else value
     return doc
 
 
@@ -147,9 +147,8 @@ def format_report_json(report: AnalysisReport, depth: int = 0) -> str:
     for name in _FIELD_NAMES:
         value = getattr(report, name)
         if isinstance(value, dict):
-            value = "{" + inner + ("," + inner).join(
-                [f'"{degree}": {n}' for degree, n in sorted(value.items())]
-            ) + pad + "}" if value else "{}"
+            entries = [f'"{degree}": {n}' for degree, n in sorted(value.items())]
+            value = "{" + inner + ("," + inner).join(entries) + pad + "}" if entries else "{}"
         items.append(f'"{name}": {value}')
     return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
 

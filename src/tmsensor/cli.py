@@ -642,6 +642,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage error or --help
         return int(exc.code or 0)
+    # File names go to stdout as the file system's bytes, as in the journal, so
+    # one that is not UTF-8 prints; a stream with no reconfigure takes any str.
+    reconfigure = getattr(sys.stdout, "reconfigure", lambda errors: None)
+    errors = getattr(sys.stdout, "errors", None)
+    reconfigure(errors="surrogateescape")
     try:
         return args.func(args)
     except (SensorError, OSError) as exc:  # the one map from error to exit code
@@ -651,6 +656,8 @@ def main(argv=None) -> int:
         if isinstance(exc, (ConfigError, EntropyUnavailable, OSError)):
             return EXIT_ENV
         return EXIT_DATA
+    finally:
+        reconfigure(errors=errors)
 
 
 if __name__ == "__main__":

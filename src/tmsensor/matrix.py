@@ -338,6 +338,19 @@ def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], sort
     return rows[starts], cols[starts], np.add.reduceat(counts, starts)
 
 
+def check_compatible(first: TrafficMatrix, *rest: TrafficMatrix) -> None:
+    """Raise KeyMismatch or WindowSizeMismatch at the first of ``rest`` whose
+    key or window size differs from ``first``'s: matrices merged or written to
+    one file must share both."""
+    for m in rest:
+        if m.key_id != first.key_id:
+            raise KeyMismatch(f"matrices from different keys "
+                              f"({first.key_id.hex()} vs {m.key_id.hex()})")
+        if m.window_size != first.window_size:
+            raise WindowSizeMismatch(f"matrices of different window sizes "
+                                     f"({first.window_size} vs {m.window_size})")
+
+
 def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
     """Element-wise sum of matrices built under the same key and window size.
 
@@ -346,16 +359,7 @@ def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
     its cells are in (row, col) order, so the inputs are merged as sorted runs.
     """
     ms = (first, *rest)
-    for m in rest:
-        if m.key_id != first.key_id:
-            raise KeyMismatch(
-                f"cannot merge matrices from different keys "
-                f"({first.key_id.hex()} vs {m.key_id.hex()})"
-            )
-        if m.window_size != first.window_size:
-            raise WindowSizeMismatch(
-                f"cannot merge window sizes {first.window_size} and {m.window_size}"
-            )
+    check_compatible(first, *rest)
     packets = sum(m.packet_count for m in ms)
     if packets >> 64:
         raise InvariantViolation(f"merged packet_count {packets} does not fit in 64 bits")

@@ -17,6 +17,10 @@ col and count are absolute. The varint stream is then deflate-compressed
 Writing is canonical: the same matrix sequence always produces identical
 bytes, so files can be compared and deduplicated byte-wise. Blocks are
 skippable without decompression via header payload_len alone.
+
+The matrix rules are ``matrix``'s: each decoded block must pass
+``TrafficMatrix.validate``, as a matrix in memory must, so an out-of-order
+block raises InvariantViolation; only format faults raise format errors.
 """
 
 from __future__ import annotations
@@ -27,16 +31,8 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptPayload,
-    InvariantViolation,
-    KeyMismatch,
-    UnknownScheme,
-    UnknownVersion,
-    WindowSizeMismatch,
-)
-from .matrix import TrafficMatrix
+from .errors import BadMagic, CorruptPayload, UnknownScheme, UnknownVersion
+from .matrix import TrafficMatrix, check_compatible
 from .streams import read_full
 
 MAGIC = b"GTM1"
@@ -79,19 +75,14 @@ def write_tmf(
 ) -> int:
     """Serialize matrices to a TMF byte stream; returns bytes written.
 
-    All matrices must share key_id and window_size. I/O failures propagate
-    as the underlying OSError.
+    Each matrix must pass ``check_compatible`` against the first, as for
+    ``merge``, and ``validate()``. I/O failures propagate as the OSError.
     """
-    ref_key = None
-    ref_window = None
+    first = None
     total = 0
     for m in matrices:
-        if ref_key is None:
-            ref_key, ref_window = m.key_id, m.window_size
-        elif m.key_id != ref_key:
-            raise KeyMismatch("matrices in one file must share a key")
-        elif m.window_size != ref_window:
-            raise WindowSizeMismatch("matrices in one file must share a window size")
+        first = first or m
+        check_compatible(first, m)
         m.validate()
 
         raw = _encode_entries(m.rows, m.cols, m.counts)
@@ -197,7 +188,7 @@ def _decode_block(header: TmfBlockHeader, payload: bytes) -> TrafficMatrix:
         header.window_size, header.packet_count, header.start_time_us,
         header.end_time_us, header.key_id, *_decode_entries(raw, header.entry_count),
     )
-    m.validate()  # the entry, count and time invariants
+    m.validate()  # the order, count and time invariants
     return m
 
 
@@ -221,6 +212,9 @@ def _encode_entries(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> b
 
 
 def _decode_entries(raw: bytes, entry_count: int) -> tuple[np.ndarray, ...]:
+    """The rows (the row deltas' running sum, modulo 2**64), cols and counts
+    of ``entry_count`` varint triples. Only varint faults raise here; a row
+    carried past 2**64 breaks the order, which ``validate()`` checks."""
     data = np.frombuffer(raw, np.uint8)
     ends = np.flatnonzero(data < 0x80)  # the last byte of each varint
     # Continuation bytes before each end; the last run is a varint cut at the end.
@@ -240,13 +234,7 @@ def _decode_entries(raw: bytes, entry_count: int) -> tuple[np.ndarray, ...]:
     groups = (data & 0x7F).astype(np.uint64)
     groups <<= (7 * places).astype(np.uint64)
     values = np.add.reduceat(groups, starts)
-    deltas, cols, counts = values[0::3], values[1::3], values[2::3]
-    if np.any((deltas[1:] == 0) & (cols[1:] <= cols[:-1])):
-        raise CorruptPayload("entries are not strictly increasing")
-    rows = np.cumsum(deltas)
-    if np.any(rows[1:] < rows[:-1]):  # a row delta carried past 2**64
-        raise InvariantViolation("coordinates must fit in 64 bits")
-    return rows, cols, counts
+    return np.cumsum(values[0::3]), values[1::3], values[2::3]
 
 
 def _deflate(data: bytes) -> bytes:

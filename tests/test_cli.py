@@ -10,6 +10,8 @@ import random
 import re
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import weakref
@@ -29,6 +31,7 @@ from tmsensor.synth import SynthSpec, synthesize
 from tmsensor.tmf import MAGIC, iter_tmf, read_tmf, write_tmf
 
 from conftest import (
+    SRC,
     eth_frame,
     eth_ipv4_capture,
     ipv4_packet,
@@ -82,6 +85,30 @@ def test_help_exits_zero():
         cli.build_parser().parse_args(["--help"])
     assert exc_info.value.code == 0
     assert cli.main(["--help"]) == 0
+
+
+def test_names_stdout_cannot_encode_print_as_the_file_systems_bytes(tmp_path):
+    """Under a strict UTF-8 stdout, a file name that is not UTF-8 prints as
+    its bytes, as the journal writes it; it must not raise after the file
+    is made. The JSON form still escapes it."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONIOENCODING": "utf-8:strict"}
+
+    def tmsensor(*args) -> bytes:
+        proc = subprocess.run([sys.executable, "-m", "tmsensor.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        return proc.stdout
+
+    assert b"key_file=k\xff.key\n" in tmsensor("genkey", "--out", b"k\xff.key")
+    out = tmsensor("synth", "--out", b"cap\xff.pcap", "--packets", "2000", "--hosts", "16")
+    assert b"pcap=cap\xff.pcap\n" in out and b"ground_truth=cap\xff.pcap.truth\n" in out
+    out = tmsensor("convert", "--key", b"k\xff.key", "--window-size", "1024",
+                   "--prefix", "raw\udcff", "--out-dir", ".", b"cap\xff.pcap")
+    assert b"pcap=cap\xff.pcap\n" in out and b"tmf=./raw\xff-0-000.tmf\n" in out
+    assert b"file=raw\xff-0-000.tmf\n" in tmsensor("analyze", b"raw\xff-0-000.tmf")
+    out = tmsensor("analyze", "--format", "json", b"raw\xff-0-000.tmf")
+    assert json.loads(out)["windows"][0]["file"] == os.fsdecode(b"raw\xff-0-000.tmf")
 
 
 # --- genkey ---
@@ -423,6 +450,39 @@ def test_convert_corrupt_key_file_is_data_error(tmp_path, small_pcap, capsys):
     bad_key.write_bytes(b"\x00" * 17)
     assert cli.main(["convert", pcap_path, "--key", str(bad_key),
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_convert_memory_does_not_grow_with_the_capture(tmp_path):
+    """A capture eight times as long must convert in about the same memory:
+    the capture is read in chunks, each window is written as it closes, and
+    the memo holds each distinct address once. The 8x capture repeats the
+    1x capture's records after its one global header."""
+    shapes = {  # the bench's spool and hicard shapes, at fewer packets
+        "spool": (SynthSpec(256, 50_000, 1.2, (64, 600), seed=1), 1 << 17),
+        "hicard": (SynthSpec(65_536, 65_536, 0.3, (0, 16), seed=1), 1024),
+    }
+    code = ("import sys\nfrom tmsensor.anon import AnonKey\n"
+            "from tmsensor.cli import convert_file\n"
+            "s = convert_file(AnonKey(bytes(32)), int(sys.argv[2]), sys.argv[1], sys.argv[3])\n"
+            "print(s['window_count'])")
+    for name, (spec, window) in shapes.items():
+        one = io.BytesIO()
+        synthesize(spec, one)
+        header, records = one.getvalue()[:24], one.getvalue()[24:]
+        peaks = {}
+        for times in (1, 8):
+            capture, out_dir = tmp_path / f"{name}-{times}.pcap", tmp_path / f"{name}-{times}"
+            out_dir.mkdir()
+            with open(capture, "wb") as f:
+                f.write(header)
+                for _ in range(times):
+                    f.write(records)
+            out, peaks[times] = run_python(code, str(capture), str(window), str(out_dir))
+            capture.unlink()
+            assert int(out) == -(-times * spec.packet_count // window)
+        # Measured growth: spool 1.2 MB, hicard none. Holding every window
+        # until the end, as a list, made hicard's grow by 10.9 MB.
+        assert peaks[8] - peaks[1] < 4, f"{name}: peak {peaks[1]:.1f} MB for 1x, {peaks[8]:.1f} MB for 8x"
 
 
 # --- analyze ---

@@ -18,12 +18,13 @@ from tmsensor.errors import (
     UnknownVersion,
     WindowSizeMismatch,
 )
-from tmsensor.matrix import TrafficMatrix
+from tmsensor.matrix import TrafficMatrix, merge
 from tmsensor.streams import MAX_READ
 from tmsensor.tmf import (
     HEADER_LEN,
     MAGIC,
     iter_block_headers,
+    iter_tmf,
     read_tmf,
     tmf_filename,
     write_tmf,
@@ -205,14 +206,17 @@ def test_corrupt_deflate_stream_rejected():
 
 
 def test_unsorted_entries_rejected():
-    # Hand-build an uncompressed payload whose rows go backwards.
+    # Hand-build an uncompressed payload that repeats a cell: the varints are
+    # sound, so the block's order check, not the codec, rejects it.
     payload = bytes.fromhex("050702") + bytes.fromhex("000701")  # (5,7) then (5,7)
     header = struct.pack(
         "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 0, 16, 3, 1, 2, KEY_ID, 1, b"\x00" * 3,
         2, len(payload),
     )
-    with pytest.raises(CorruptPayload):
+    with pytest.raises(InvariantViolation, match="entries are not strictly increasing"):
         read_bytes(header + payload)
+    with pytest.raises(InvariantViolation, match="entries are not strictly increasing"):
+        list(iter_tmf(io.BytesIO(header + payload)))
 
 
 def test_trailing_payload_bytes_rejected():
@@ -400,6 +404,23 @@ def test_write_rejects_mixed_window_sizes():
     b = TrafficMatrix.from_entries(32, 0, 0, 0, KEY_ID, {})
     with pytest.raises(WindowSizeMismatch):
         write_bytes([a, b])
+
+
+@pytest.mark.parametrize("other, error", [
+    (TrafficMatrix.from_entries(16, 0, 0, 0, b"\x02" * 8, {}), KeyMismatch),
+    (TrafficMatrix.from_entries(32, 0, 0, 0, KEY_ID, {}), WindowSizeMismatch),
+])
+def test_write_and_merge_give_one_message_per_mismatch(other, error):
+    first = TrafficMatrix.from_entries(16, 1, 1, 2, KEY_ID, {(1, 2): 1})
+    with pytest.raises(error) as written:
+        write_bytes([first, other])
+    with pytest.raises(error) as merged:
+        merge(first, other)
+    assert type(written.value) is type(merged.value) is error
+    assert str(written.value) == str(merged.value)
+    if error is KeyMismatch:
+        assert "different keys" in str(written.value)
+        assert KEY_ID.hex() in str(written.value) and other.key_id.hex() in str(written.value)
 
 
 def test_write_validates_matrices():

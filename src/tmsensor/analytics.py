@@ -128,19 +128,10 @@ def analyze_many(
 _FIELD_NAMES = [f.name for f in fields(AnalysisReport)]
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    """Report as a plain dict in field order, histograms sorted by degree."""
-    doc = {}
-    for name in _FIELD_NAMES:
-        value = getattr(report, name)
-        doc[name] = dict(sorted(value.items())) if isinstance(value, dict) else value
-    return doc
-
-
 def format_report_json(report: AnalysisReport, depth: int = 0) -> str:
-    """The report as ``json.dumps(report_to_dict(report), indent=2)`` writes
-    it, nested ``depth`` levels deep: each line after the first is indented
-    by ``2 * depth`` more spaces."""
+    """The report as ``json.dumps(dataclasses.asdict(report), indent=2)``
+    writes it, histograms sorted by degree, nested ``depth`` levels deep:
+    each line after the first is indented by ``2 * depth`` more spaces."""
     pad = "\n" + "  " * (depth + 1)  # before each field
     inner = pad + "  "  # before each histogram entry
     items = []
@@ -156,10 +147,11 @@ def format_report_json(report: AnalysisReport, depth: int = 0) -> str:
 def format_report_text(report: AnalysisReport) -> str:
     """Flat name=value text form, histograms as fanout[d]=n / fanin[d]=n."""
     lines = []
-    for name, value in report_to_dict(report).items():
-        if name.endswith("_histogram"):
+    for name in _FIELD_NAMES:
+        value = getattr(report, name)
+        if isinstance(value, dict):
             prefix = name.removesuffix("_histogram")
-            lines.extend(f"{prefix}[{degree}]={n}" for degree, n in value.items())
+            lines.extend(f"{prefix}[{degree}]={n}" for degree, n in sorted(value.items()))
         else:
             lines.append(f"{name}={value}")
     return "\n".join(lines)

@@ -302,6 +302,9 @@ def cmd_genkey(args) -> int:
         raise FileExistsError(f"{args.out} already exists; refusing to overwrite")
     with os.fdopen(fd, "wb") as f:
         save_key(key, f)
+        f.flush()
+        os.fsync(f.fileno())
+    _fsync_dir(os.path.dirname(args.out) or os.curdir)  # durable before key_id is shown
     print(f"key_file={args.out}")
     print(f"key_id={key.key_id.hex()}")
     return EXIT_OK
@@ -437,7 +440,8 @@ def load_journal(path: str) -> dict[str, str]:
     Each line is a 64-hex-digit digest, one space, and the rest of the line
     as the name, so names keep leading and trailing spaces. Names that are
     not valid UTF-8 round-trip through surrogate escapes, as os.listdir
-    returns them.
+    returns them. Bytes after the last line break are an append torn by a
+    crash, not an entry, and are skipped.
     """
     entries: dict[str, str] = {}
     try:
@@ -446,7 +450,9 @@ def load_journal(path: str) -> dict[str, str]:
         return entries
     with f:
         for lineno, line in enumerate(f, 1):
-            line = line.removesuffix("\n")
+            if not line.endswith("\n"):
+                break  # torn: its capture is converted again into its output
+            line = line[:-1]
             if not line.strip():
                 continue
             match = _JOURNAL_LINE.fullmatch(line)
@@ -454,6 +460,20 @@ def load_journal(path: str) -> dict[str, str]:
                 raise JournalError(f"{path}:{lineno}: unparseable journal line")
             entries[match[2]] = match[1]
     return entries
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Cut the journal after its last line break, so that the next entry
+    starts a line of its own."""
+    try:
+        f = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with f:
+        end = f.read().rfind(b"\n") + 1
+        if end < f.tell():
+            f.truncate(end)
+            os.fsync(f.fileno())
 
 
 def append_journal(path: str, digest: str, name: str) -> None:
@@ -510,6 +530,7 @@ def watch_loop(
         log = sys.stderr
     journal_file = os.path.join(cfg.output_dir, JOURNAL_NAME)
     journal = load_journal(journal_file)
+    _drop_torn_tail(journal_file)
     failed: set[tuple[str, int]] = set()
 
     while True:
@@ -541,10 +562,7 @@ def watch_loop(
                 f"{summary['tmf_path'] or '(empty capture, no output)'}",
                 file=log,
             )
-        if once or stop_event.is_set():
-            return
-        stop_event.wait(cfg.poll_interval_secs)
-        if stop_event.is_set():
+        if once or stop_event.wait(cfg.poll_interval_secs):
             return
 
 
@@ -564,13 +582,18 @@ def cmd_watch(args) -> int:
     def _request_stop(signum, frame):
         stop.set()
 
+    replaced = {}  # signal -> the caller's handler, restored on the way out
     try:
-        signal.signal(signal.SIGTERM, _request_stop)
-        signal.signal(signal.SIGINT, _request_stop)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            replaced[signum] = signal.signal(signum, _request_stop)
     except ValueError:
         pass  # not the main thread; rely on the caller to set the event
 
-    watch_loop(cfg, key, stop, once=args.once)
+    try:
+        watch_loop(cfg, key, stop, once=args.once)
+    finally:
+        for signum, handler in replaced.items():
+            signal.signal(signum, handler or signal.SIG_DFL)  # None: set outside Python
     return EXIT_OK
 
 

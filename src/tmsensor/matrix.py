@@ -87,9 +87,12 @@ class TrafficMatrix:
             for a, b in zip(vars(self).values(), vars(other).values()))
 
     def validate(self) -> None:
-        """Check structural invariants; raises InvariantViolation."""
-        if self.window_size < 1:
-            raise InvariantViolation("window_size must be >= 1")
+        """Check structural invariants, and that the TMF header's fields can
+        hold the window size and time range; raises InvariantViolation."""
+        if not 1 <= self.window_size < 1 << 32:
+            raise InvariantViolation("window_size must be from 1 to 2**32 - 1")
+        if self.start_time_us < 0 or self.end_time_us >= 1 << 64:
+            raise InvariantViolation("the time range must fit in 64 unsigned bits")
         if len(self.key_id) != KEY_ID_LEN:
             raise InvariantViolation("key_id must be 8 bytes")
         rows, cols, counts = self.rows, self.cols, self.counts

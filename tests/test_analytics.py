@@ -1,5 +1,6 @@
 """Analytics: exact fields, the merged-report rule, report formatting."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -14,8 +15,8 @@ from tmsensor.analytics import (
     _histogram,
     analyze,
     analyze_many,
+    format_report_json,
     format_report_text,
-    report_to_dict,
 )
 from tmsensor.errors import InvariantViolation, KeyMismatch, WindowSizeMismatch
 from tmsensor.matrix import TrafficMatrix, merge
@@ -267,13 +268,18 @@ def test_text_format_field_names_and_histograms():
 
 def test_json_format_round_trips_exact_fields():
     report = analyze(matrix_of({(1, 2): 3, (5, 2): 2}))
-    doc = json.loads(json.dumps(report_to_dict(report), indent=2))
+    doc = json.loads(format_report_json(report))
     assert doc["valid_packets"] == 5
     assert doc["max_destination_fanin"] == 2
     assert doc["fanin_histogram"] == {"2": 1}  # JSON keys are strings
-    assert set(doc) == set(report_to_dict(report))
+    assert list(doc) == list(dataclasses.asdict(report))
 
 
-def test_report_to_dict_keeps_integer_histogram_keys():
-    report = analyze(matrix_of({(1, 2): 1}))
-    assert report_to_dict(report)["fanout_histogram"] == {1: 1}
+def test_both_forms_list_histograms_by_degree():
+    report = AnalysisReport(fanout_histogram={3: 1, 1: 4, 2: 2}, fanin_histogram={9: 1, 0: 7})
+    lines = format_report_text(report).splitlines()
+    assert [line for line in lines if "[" in line] == [
+        "fanout[1]=4", "fanout[2]=2", "fanout[3]=1", "fanin[0]=7", "fanin[9]=1"]
+    doc = json.loads(format_report_json(report))
+    assert list(doc["fanout_histogram"]) == ["1", "2", "3"]
+    assert list(doc["fanin_histogram"]) == ["0", "9"]

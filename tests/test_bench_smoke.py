@@ -1,10 +1,10 @@
 """Smoke test of the benchmark harness in bench/.
 
-Runs the harness's self-test, then one short traced pass of the `analyze`
-and of the `hicard` workload. Every pass is checked against the benchmark's
-independent oracle, so this also pins the `analyze --format json` report and
-the writer's canonical varints to it, and a traced pass fails if a function
-the tracer wraps has moved.
+Runs the harness's self-test, then one short traced pass of the `analyze`,
+the `hicard` and the `spool` workload. Every pass is checked against the
+benchmark's independent oracle, so this also pins the `analyze --format json`
+report, the writer's canonical varints and the `watch` journal to it, and a
+traced pass fails if a function the tracer wraps has moved.
 
 The passes run from a private copy of the harness under `.pytest_cache`,
 beside a link to `src/`: the harness keeps one seed's inputs per workload
@@ -48,7 +48,7 @@ def test_bench_selftest_passes(harness):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("workload", ["analyze", "hicard"])
+@pytest.mark.parametrize("workload", ["analyze", "hicard", "spool"])
 def test_bench_analyze_pass_is_correct_under_tracing(harness, workload):
     done = run_bench_script(
         harness, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0",

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import signal
 import stat
 import struct
 import subprocess
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmsensor import cli
-from tmsensor.analytics import analyze_many, format_report_text, report_to_dict
+from tmsensor.analytics import analyze_many
 from tmsensor.anon import load_key, save_key
 from tmsensor.errors import ConfigError
 from tmsensor.matrix import TrafficMatrix
@@ -130,6 +131,21 @@ def test_genkey_refuses_to_overwrite(tmp_path, capsys):
     assert cli.main(["genkey", "--out", str(out)]) == 3
     assert out.read_bytes() == b"precious"
     assert "refusing" in capsys.readouterr().err
+
+
+def test_genkey_fsyncs_the_key_file_and_its_directory_before_printing(
+        tmp_path, monkeypatch, capsys):
+    synced = []  # per fsync call: whether the fd is a directory, and what was printed
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), capsys.readouterr().out))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert cli.main(["genkey", "--out", str(tmp_path / "new.key")]) == 0
+    assert synced == [(False, ""), (True, "")]
+    assert "key_id=" in capsys.readouterr().out
 
 
 def test_genkey_round_trips_through_loader(tmp_path, capsys):
@@ -619,10 +635,23 @@ def test_analyze_json_is_written_as_it_is_rendered(tmp_path):
     assert json_mb - text_mb < 5, f"peak {text_mb:.1f} MB as text, {json_mb:.1f} MB as JSON"
 
 
+def report_lines(report) -> list[str]:
+    """A report's text form, from ``dataclasses.asdict``: name=value lines,
+    then fanout[d]=n and fanin[d]=n lines in degree order."""
+    lines = []
+    for name, value in dataclasses.asdict(report).items():
+        if isinstance(value, dict):
+            prefix = name.removesuffix("_histogram")
+            lines += [f"{prefix}[{d}]={n}" for d, n in sorted(value.items())]
+        else:
+            lines.append(f"{name}={value}")
+    return lines
+
+
 def rendered_as_before(files, form) -> str:
     """``analyze``'s output as it was rendered from every report kept: the
-    document built as dicts and written by ``json.dump(indent=2)``, or the
-    text printed line by line."""
+    document built from ``dataclasses.asdict`` and written by
+    ``json.dump(indent=2)``, or the text printed line by line."""
     origins, matrices = [], []
     for path in files:
         with open(path, "rb") as f:
@@ -634,10 +663,10 @@ def rendered_as_before(files, form) -> str:
     if form == "json":
         doc = {
             "windows": [
-                {"file": path, "block": block, "report": report_to_dict(r)}
+                {"file": path, "block": block, "report": dataclasses.asdict(r)}
                 for (path, block), r in zip(origins, reports)
             ],
-            "merged": report_to_dict(merged),
+            "merged": dataclasses.asdict(merged),
         }
         json.dump(doc, out, indent=2)
         print(file=out)
@@ -646,11 +675,11 @@ def rendered_as_before(files, form) -> str:
             print("report=window", file=out)
             print(f"file={path}", file=out)
             print(f"block={block}", file=out)
-            print(format_report_text(r), file=out)
+            print(*report_lines(r), sep="\n", file=out)
             print(file=out)
         print("report=merged", file=out)
         print(f"windows={len(reports)}", file=out)
-        print(format_report_text(merged), file=out)
+        print(*report_lines(merged), sep="\n", file=out)
     return out.getvalue()
 
 
@@ -978,6 +1007,36 @@ def test_watch_restart_after_crash_before_journal_writes_no_duplicate(
     assert tmf_files(out_dir) == ["tm-0-000.tmf"]
     journal = (out_dir / "tmsensor.journal").read_text().splitlines()
     assert [line.split(" ", 1)[1] for line in journal] == ["cap.pcap"]
+
+
+@pytest.mark.parametrize("tail", ["nul", "digest"])
+def test_watch_recovers_from_a_torn_last_journal_line(watch_setup, capsys, tail):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop("a.pcap", seed=1)
+    drop("b.pcap", seed=2)
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    outputs = tmf_files(out_dir)
+    journal = out_dir / "tmsensor.journal"
+    whole = journal.read_bytes()
+    first = whole[:whole.index(b"\n") + 1]
+    # b.pcap's append was torn by a power loss: NUL bytes, or 20 bytes of its digest
+    torn = b"\x00" * 20 if tail == "nul" else whole[len(first):len(first) + 20]
+    journal.write_bytes(first + torn)
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    assert tmf_files(out_dir) == outputs  # b.pcap was converted into its output again
+    assert journal.read_bytes() == whole
+    assert list(cli.load_journal(str(journal))) == ["a.pcap", "b.pcap"]
+
+
+@pytest.mark.parametrize("journal", ["", "definitely not a journal\n"],
+                         ids=["once", "malformed-journal"])
+def test_watch_gives_back_the_callers_signal_handlers(watch_setup, capsys, journal):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop("a.pcap", seed=1)
+    (out_dir / "tmsensor.journal").write_text(journal)
+    before = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+    assert cli.main(["watch", "--config", cfg, "--once"]) == (2 if journal else 0)
+    assert {s: signal.getsignal(s) for s in before} == before
 
 
 def test_watch_identical_captures_share_one_output(watch_setup, capsys):

@@ -429,6 +429,21 @@ def test_write_validates_matrices():
         write_bytes([broken])
 
 
+@pytest.mark.parametrize("window, start, end", [
+    (1 << 32, 1, 2),   # window_size past the header's 32 bits
+    (16, -5, 2),       # start_time_us below 0
+    (16, 1, 1 << 64),  # end_time_us past the header's 64 bits
+])
+def test_fields_the_header_cannot_hold_are_invariant_violations(window, start, end):
+    m = TrafficMatrix.from_entries(window, 3, start, end, KEY_ID, {(1, 2): 3})
+    with pytest.raises(InvariantViolation):
+        m.validate()
+    sink = io.BytesIO()
+    with pytest.raises(InvariantViolation):
+        write_tmf([m], sink)
+    assert sink.getvalue() == b""
+
+
 def test_write_returns_byte_count():
     rng = random.Random(6)
     ms = [random_matrix(rng, key_id=KEY_ID) for _ in range(3)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import fcntl
 import filecmp
 import hashlib
 import itertools
@@ -462,24 +463,18 @@ def load_journal(path: str) -> dict[str, str]:
     return entries
 
 
-def _drop_torn_tail(path: str) -> None:
-    """Cut the journal after its last line break, so that the next entry
-    starts a line of its own."""
-    try:
-        f = open(path, "r+b")
-    except FileNotFoundError:
-        return
-    with f:
-        end = f.read().rfind(b"\n") + 1
-        if end < f.tell():
-            f.truncate(end)
-            os.fsync(f.fileno())
-
-
 def append_journal(path: str, digest: str, name: str) -> None:
+    """Append one entry under an exclusive lock. A torn last line, left by an
+    append that failed or crashed part-way, is cut back to the last line
+    break first, so the entry starts a line of its own."""
     created = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8", errors="surrogateescape") as f:
-        f.write(f"{digest} {name}\n")
+    with open(path, "a+b") as f:
+        fcntl.flock(f, fcntl.LOCK_EX)  # another daemon's append may be half-written
+        end = f.seek(0, os.SEEK_END)
+        if end and os.pread(f.fileno(), 1, end - 1) != b"\n":
+            f.seek(0)
+            f.truncate(f.read().rfind(b"\n") + 1)
+        f.write(f"{digest} {name}\n".encode("utf-8", "surrogateescape"))
         f.flush()
         os.fsync(f.fileno())
     if created:  # the new journal's directory entry must be durable too
@@ -524,17 +519,19 @@ def watch_loop(
     captures to the same output names on every run. The journal in
     output_dir survives restarts; failures are logged, skipped, and retried
     only when the file changes or the daemon restarts. A name holding a line
-    break cannot be journaled, so it counts as a failure.
+    break cannot be journaled, so it counts as a failure. Once ``stop_event``
+    is set, the loop returns before the next capture.
     """
     if log is None:
         log = sys.stderr
     journal_file = os.path.join(cfg.output_dir, JOURNAL_NAME)
     journal = load_journal(journal_file)
-    _drop_torn_tail(journal_file)
     failed: set[tuple[str, int]] = set()
 
     while True:
         for name, path, mtime_ns in _scan_candidates(cfg, journal, failed):
+            if stop_event.is_set():
+                return
             summary = None
             try:
                 if "\n" in name or "\r" in name:

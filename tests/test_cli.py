@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from tmsensor import cli
 from tmsensor.analytics import analyze_many
 from tmsensor.anon import load_key, save_key
-from tmsensor.errors import ConfigError
+from tmsensor.errors import ConfigError, JournalError
 from tmsensor.matrix import TrafficMatrix
 from tmsensor.synth import SynthSpec, synthesize
 from tmsensor.tmf import MAGIC, iter_tmf, read_tmf, write_tmf
@@ -972,6 +974,25 @@ def test_watch_defers_fresh_files_until_quiescent(watch_setup, old_mtime, capsys
     assert len(tmf_files(out_dir)) == 2
 
 
+def test_watch_converts_a_capture_exactly_quiescence_secs_old(watch_setup, monkeypatch,
+                                                              capsys):
+    in_dir, out_dir, cfg, drop = watch_setup
+    path = drop("a.pcap", seed=1, age=False)
+    os.utime(path, (1_000_000_000, 1_000_000_000))
+    monkeypatch.setattr(cli.time, "time", lambda: 1_000_000_000 + 3600.0)  # quiescence_secs
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    assert len(tmf_files(out_dir)) == 1
+
+
+def test_watch_skips_a_capture_gone_before_its_stat(watch_setup, capsys):
+    in_dir, out_dir, cfg, drop = watch_setup
+    (in_dir / "a-gone.pcap").symlink_to(in_dir / "nowhere")  # listed, but stat fails
+    drop("b.pcap", seed=1)
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    assert list(cli.load_journal(str(out_dir / "tmsensor.journal"))) == ["b.pcap"]
+    assert "a-gone" not in capsys.readouterr().err
+
+
 def test_watch_restart_is_idempotent(watch_setup, capsys):
     in_dir, out_dir, cfg, drop = watch_setup
     for i in range(3):
@@ -1026,6 +1047,124 @@ def test_watch_recovers_from_a_torn_last_journal_line(watch_setup, capsys, tail)
     assert tmf_files(out_dir) == outputs  # b.pcap was converted into its output again
     assert journal.read_bytes() == whole
     assert list(cli.load_journal(str(journal))) == ["a.pcap", "b.pcap"]
+
+
+@pytest.mark.parametrize("cut", [1, 30, 66], ids=["one-byte", "inside-digest", "after-digest"])
+def test_an_append_after_a_failed_one_cuts_its_torn_tail(watch_setup, fixed_key,
+                                                         monkeypatch, capsys, cut):
+    in_dir, out_dir, cfg, drop = watch_setup
+    for seed, name in enumerate(["a.pcap", "b.pcap", "c.pcap"]):
+        drop(name, seed=seed)
+    journal = out_dir / "tmsensor.journal"
+    append = cli.append_journal
+
+    def disk_full_inside_b(path, digest, name):
+        if name != "b.pcap":
+            return append(path, digest, name)
+        with open(path, "ab") as f:  # b.pcap's line is cut short, mid-run
+            f.write(f"{digest} {name}\n".encode()[:cut])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "append_journal", disk_full_inside_b)
+        cli.watch_loop(cli.parse_config(cfg), fixed_key, threading.Event(), once=True,
+                       log=io.StringIO())
+    assert list(cli.load_journal(str(journal))) == ["a.pcap", "c.pcap"]
+    outputs = tmf_files(out_dir)
+    assert cli.main(["watch", "--config", cfg, "--once"]) == 0
+    assert tmf_files(out_dir) == outputs  # b.pcap was converted into its output again
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert [re.fullmatch(rb"[0-9a-f]{64} (.*)\n", line)[1] for line in lines] == [
+        b"a.pcap", b"c.pcap", b"b.pcap"]
+
+
+def test_append_journal_holds_an_exclusive_lock_while_it_fsyncs(tmp_path, monkeypatch):
+    path = str(tmp_path / "tmsensor.journal")
+    real_fsync = os.fsync
+    synced = []  # per fsync of the journal: was a second lock refused, and its bytes
+
+    def fsync(fd):
+        if not stat.S_ISDIR(os.fstat(fd).st_mode):
+            with open(path, "rb") as other:  # as another daemon would open it
+                try:
+                    fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    refused = False
+                except BlockingIOError:
+                    refused = True
+                synced.append((refused, other.read()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    cli.append_journal(path, "ab" * 32, "one.pcap")
+    cli.append_journal(path, "cd" * 32, "two.pcap")
+    one, two = f"{'ab' * 32} one.pcap\n".encode(), f"{'cd' * 32} two.pcap\n".encode()
+    assert synced == [(True, one), (True, one + two)]  # the fsync covers the entry
+    with open(path, "rb") as other:  # and the lock goes with the append
+        fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
+def test_concurrent_appends_keep_every_entry_whole(tmp_path):
+    path = str(tmp_path / "tmsensor.journal")
+    with open(path, "wb") as f:
+        f.write(b"0" * 30)  # a torn tail, which every daemon sees at its first append
+    code = ("import sys\nfrom tmsensor import cli\n"
+            "for i in range(100):\n"
+            "    cli.append_journal(sys.argv[1], f'{i:064x}', f'{sys.argv[2]}-{i}.pcap')\n")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    daemons = [subprocess.Popen([sys.executable, "-c", code, path, str(k)], env=env)
+               for k in range(4)]  # more than the cores of a small machine
+    assert [d.wait(timeout=120) for d in daemons] == [0] * 4
+    with open(path, "rb") as f:
+        assert f.read().count(b"\n") == 400  # no entry was cut or joined to another
+    assert len(cli.load_journal(path)) == 400
+
+
+class Polls(threading.Event):
+    """A stop event whose wait ends at once, and stops the loop on the n-th
+    wait: a polling ``watch_loop`` runs n scans with no sleep."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.left = n
+
+    def wait(self, timeout=None):
+        self.left -= 1
+        return self.left == 0 or self.is_set()
+
+
+def test_watch_polls_convert_each_capture_once(watch_setup, fixed_key):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop("a.pcap", seed=1)
+    cli.watch_loop(cli.parse_config(cfg), fixed_key, Polls(2), log=io.StringIO())
+    assert len((out_dir / "tmsensor.journal").read_bytes().splitlines()) == 1
+
+
+def test_watch_stops_between_captures(watch_setup, fixed_key, tmp_path):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    for i in range(4):
+        drop(f"cap{i}.pcap", seed=i)
+    cfg = cli.parse_config(cfg_path)
+    stop = Polls(1)  # the loop ends after its first scan at the latest
+
+    class StopOnFirstConversion(io.StringIO):
+        def write(self, text):
+            if text.startswith("[watch] converted"):
+                stop.set()  # as SIGTERM would, while the daemon works
+            return super().write(text)
+
+    cli.watch_loop(cfg, fixed_key, stop, log=StopOnFirstConversion())
+    journal = out_dir / "tmsensor.journal"
+    assert list(cli.load_journal(str(journal))) == ["cap0.pcap"]
+
+    cli.watch_loop(cfg, fixed_key, threading.Event(), once=True, log=io.StringIO())
+    whole = tmp_path / "whole"  # the same spool in one uninterrupted pass
+    whole.mkdir()
+    cli.watch_loop(dataclasses.replace(cfg, output_dir=str(whole)), fixed_key,
+                   threading.Event(), once=True, log=io.StringIO())
+    assert sorted(os.listdir(out_dir)) == sorted(os.listdir(whole))
+    for name in os.listdir(whole):
+        assert (out_dir / name).read_bytes() == (whole / name).read_bytes(), name
+    assert len(journal.read_bytes().splitlines()) == 4
 
 
 @pytest.mark.parametrize("journal", ["", "definitely not a journal\n"],
@@ -1183,6 +1322,32 @@ def test_watch_line_break_in_name_is_a_failed_capture(watch_setup, fixed_key,
     assert len(tmf_files(out_dir)) == 1
 
 
+def test_watch_says_nothing_of_a_capture_gone_before_its_conversion(watch_setup, fixed_key,
+                                                                     monkeypatch):
+    in_dir, out_dir, cfg, drop = watch_setup
+    drop("a.pcap", seed=1)
+    scan = cli._scan_candidates
+
+    def scan_then_lose(*args):
+        candidates = scan(*args)
+        os.unlink(in_dir / "a.pcap")  # taken by another consumer of the spool
+        return candidates
+
+    monkeypatch.setattr(cli, "_scan_candidates", scan_then_lose)
+    log = io.StringIO()
+    cli.watch_loop(cli.parse_config(cfg), fixed_key, threading.Event(), once=True, log=log)
+    assert log.getvalue() == ""
+    assert os.listdir(out_dir) == []
+
+
+def test_watch_outlives_its_input_dir(watch_setup, fixed_key):
+    in_dir, out_dir, cfg, drop = watch_setup
+    in_dir.rmdir()  # e.g. a spool unmounted while the daemon runs
+    cli.watch_loop(cli.parse_config(cfg), fixed_key, threading.Event(), once=True,
+                   log=io.StringIO())
+    assert os.listdir(out_dir) == []
+
+
 def test_watch_missing_output_dir_is_a_failed_capture(watch_setup, fixed_key):
     in_dir, out_dir, cfg_path, drop = watch_setup
     drop("good.pcap", seed=13)
@@ -1261,6 +1426,13 @@ def test_creating_the_journal_fsyncs_its_directory(tmp_path, monkeypatch):
     cli.append_journal(path, "cd" * 32, "two.pcap")
     cli.append_journal(path, "ef" * 32, "three.pcap")
     assert synced == [False, False]
+
+
+def test_a_malformed_journal_line_is_named_by_its_number(tmp_path):
+    path = tmp_path / "tmsensor.journal"
+    path.write_text("0" * 64 + " a.pcap\n\nnot an entry\n")  # blank lines are skipped
+    with pytest.raises(JournalError, match=r"tmsensor\.journal:3: unparseable journal line"):
+        cli.load_journal(str(path))
 
 
 def test_watch_malformed_journal_is_data_error(watch_setup, capsys):

@@ -241,7 +241,9 @@ def test_a_window_is_summed_once_per_doubling_of_its_cells(fixed_key, monkeypatc
                for b in range(64)]
     (m,) = build_windows(batches, fixed_key, 1 << 17)
     assert len(m.entries) == m.packet_count == 64_000
-    assert len(calls) <= 8
+    # Batch k is folded in once the waiting packets outnumber the summed
+    # cells: after batches 1, 3, 7, 15, 31 and 63; the close sums the rest.
+    assert calls == [1, 3, 5, 9, 17, 33, 2]
 
 
 def brute_force_windows(key, packets, window_size, anonymize=anonymize_ip):

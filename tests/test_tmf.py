@@ -160,6 +160,17 @@ def test_wrong_magic_raises_bad_magic():
         read_bytes(b"NOPE" + b"\x00" * 60)
 
 
+def test_the_magic_alone_is_a_cut_header_not_bad_magic():
+    with pytest.raises(CorruptPayload, match="file ends inside a block header"):
+        read_bytes(MAGIC)
+
+
+@pytest.mark.parametrize("data", [b"NOPE!", b"NOPE!" + bytes(59)], ids=["cut", "whole"])
+def test_bad_magic_shows_the_first_four_bytes_in_hex(data):
+    with pytest.raises(BadMagic, match=r"\(magic 4e4f5045\)"):
+        read_bytes(data)
+
+
 def test_mutated_packet_count_raises_invariant_violation():
     m = TrafficMatrix.from_entries(16, 3, 1, 2, KEY_ID, {(1, 2): 3})
     data = bytearray(write_bytes([m]))
@@ -203,6 +214,32 @@ def test_corrupt_deflate_stream_rejected():
     data[HEADER_LEN] ^= 0xFF
     with pytest.raises((CorruptPayload, InvariantViolation)):
         read_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("cut, extra, message", [
+    (1, b"", "deflate stream is incomplete"),
+    (0, b"\x00", "trailing bytes after deflate stream"),
+], ids=["cut", "trailing"])
+def test_deflate_stream_must_end_where_the_payload_ends(cut, extra, message):
+    data = write_bytes([TrafficMatrix.from_entries(16, 3, 1, 2, KEY_ID, {(1, 2): 3})])
+    payload = data[HEADER_LEN:len(data) - cut] + extra
+    header = bytearray(data[:HEADER_LEN])
+    struct.pack_into("<Q", header, 56, len(payload))  # payload_len
+    with pytest.raises(CorruptPayload, match=message):
+        read_bytes(bytes(header) + payload)
+
+
+def test_payload_that_inflates_past_its_entry_count_is_refused():
+    # One entry is at most 30 varint bytes; these 31 inflate from a sound stream.
+    comp = zlib.compressobj(9, zlib.DEFLATED, -15)
+    payload = comp.compress(bytes(31)) + comp.flush()
+    header = struct.pack(
+        "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 1, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
+        1, len(payload),
+    )
+    with pytest.raises(CorruptPayload,
+                       match="payload inflates beyond its declared entry count"):
+        read_bytes(header + payload)
 
 
 def test_unsorted_entries_rejected():
@@ -276,6 +313,23 @@ def test_uncompressed_entry_count_bound_is_exact():
         else:
             with pytest.raises(CorruptPayload, match="cannot fit"):
                 read_bytes(header + payload)
+
+
+def test_deflated_entry_count_bound_is_the_largest_deflate_expansion():
+    # Deflate expands at most 1032-fold, so a 3-byte deflated payload holds
+    # at most 3096 bytes of triples: 1032 entries may fit, 1033 cannot.
+    payload = b"\x03\x00\x00"
+    for entry_count, ok in ((1032, True), (1033, False)):
+        header = struct.pack(
+            "<4sHHIQQQ8sB3sQQ", MAGIC, 1, 1, 16, 1, 1, 2, KEY_ID, 1, b"\x00" * 3,
+            entry_count, len(payload),
+        )
+        blocks = iter_block_headers(io.BytesIO(header + payload))
+        if ok:
+            assert next(blocks).entry_count == entry_count
+        else:
+            with pytest.raises(CorruptPayload, match="1033 entries cannot fit"):
+                next(blocks)
 
 
 def test_highly_compressible_block_is_not_rejected():

@@ -1103,6 +1103,33 @@ def test_append_journal_holds_an_exclusive_lock_while_it_fsyncs(tmp_path, monkey
         fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
 
+def test_append_to_a_whole_journal_neither_reads_it_back_nor_cuts_it(tmp_path,
+                                                                    monkeypatch):
+    # A daemon's journal grows without bound: only a torn journal is read back.
+    path = str(tmp_path / "tmsensor.journal")
+    cli.append_journal(path, "ab" * 32, "one.pcap")
+    calls = []
+
+    class Spy(io.BufferedRandom):
+        def read(self, *args):
+            calls.append("read")
+            return super().read(*args)
+
+        def truncate(self, *args):
+            calls.append("truncate")
+            return super().truncate(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "open", lambda p, mode: Spy(io.FileIO(p, "a+")), raising=False)
+        cli.append_journal(path, "cd" * 32, "two.pcap")
+        assert calls == []
+        with open(path, "ab") as f:
+            f.write(b"0" * 30)  # a torn tail: the spy sees the cut
+        cli.append_journal(path, "ef" * 32, "three.pcap")
+        assert calls == ["read", "truncate"]
+    assert list(cli.load_journal(path)) == ["one.pcap", "two.pcap", "three.pcap"]
+
+
 def test_concurrent_appends_keep_every_entry_whole(tmp_path):
     path = str(tmp_path / "tmsensor.journal")
     with open(path, "wb") as f:

@@ -10,10 +10,11 @@ Each mutant changes one spot of one module:
 - an integer constant plus one;
 - one statement replaced by ``pass``.
 
-The source text of the changed node is replaced in a copy of the
-repository (``src``, ``tests``, ``bench``, ``pyproject.toml`` and the
-README), so the rest of the module keeps its layout and comments. For every mutant the
-given test files run there with ``pytest -x``. A mutant is killed when the
+The source text of the changed node is replaced in a temporary copy of
+the repository (``src``, ``tests``, ``bench``, ``pyproject.toml`` and the
+README), so the rest of the module keeps its layout and comments; the copy
+is removed when the run ends. For every mutant the given test files run
+there with ``pytest -x``. A mutant is killed when the
 tests fail or time out, and survives when they pass.
 
 A survivor listed in ``tools/equivalent_mutants.txt`` is reported as
@@ -180,7 +181,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated function names to mutate inside")
     parser.add_argument("--lines", type=line_range, nargs="+", default=[],
                         help="lines to mutate: N or A-B, one or more")
-    parser.add_argument("--workdir", help="where to copy the repository (default: a temp dir)")
     parser.add_argument("--list", action="store_true", help="print the mutants and stop")
     args = parser.parse_args(argv)
 
@@ -194,48 +194,43 @@ def main(argv: list[str] | None = None) -> int:
     if not args.tests:
         parser.error("--tests is required unless --list is given")
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="mutate-")
-    if os.path.realpath(workdir) == os.path.realpath(ROOT):
-        parser.error("--workdir must not be the repository itself")
-    for name in COPIED:
-        src, dst = os.path.join(ROOT, name), os.path.join(workdir, name)
-        if os.path.isdir(dst):
-            shutil.rmtree(dst)
-        if os.path.isdir(src):
-            shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", "_work"))
-        else:
-            shutil.copy2(src, dst)
+    with tempfile.TemporaryDirectory(prefix="mutate-") as workdir:
+        for name in COPIED:
+            src, dst = os.path.join(ROOT, name), os.path.join(workdir, name)
+            if os.path.isdir(src):
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", "_work"))
+            else:
+                shutil.copy2(src, dst)
+        return run_mutants(workdir, module, todo, args.tests)
+
+
+def run_mutants(workdir: str, module: str, todo: list[Mutant], tests: list[str]) -> int:
     target = os.path.join(workdir, module)
     with open(target, encoding="utf-8") as f:
         original = f.read()
 
-    outcome, base_s = run_tests(workdir, args.tests, None)
+    outcome, base_s = run_tests(workdir, tests, None)
     if outcome != "survived":
-        print(f"the tests fail on the unmutated code in {workdir}", file=sys.stderr)
+        print("the tests fail on the unmutated code", file=sys.stderr)
         return 2
     timeout = max(60.0, 3 * base_s)
     print(f"{len(todo)} mutants of {module}; unmutated tests {base_s:.1f} s", flush=True)
 
     equivalent = load_equivalent()
     counts = {"killed": 0, "timeout": 0, "survived": 0, "equivalent": 0}
-    try:
-        for m in todo:
-            with open(target, "w", encoding="utf-8") as f:
-                f.write(original[:m.start] + m.text + original[m.end:])
-            outcome, seconds = run_tests(workdir, args.tests, timeout)
-            if outcome == "survived" and f"{module}: {m.description}" in equivalent:
-                outcome = "equivalent"
-            counts[outcome] += 1
-            print(f"{outcome.upper():10} {module}:{m.line}: {m.description} ({seconds:.1f} s)",
-                  flush=True)
-    finally:
+    for m in todo:
         with open(target, "w", encoding="utf-8") as f:
-            f.write(original)
+            f.write(original[:m.start] + m.text + original[m.end:])
+        outcome, seconds = run_tests(workdir, tests, timeout)
+        if outcome == "survived" and f"{module}: {m.description}" in equivalent:
+            outcome = "equivalent"
+        counts[outcome] += 1
+        print(f"{outcome.upper():10} {module}:{m.line}: {m.description} ({seconds:.1f} s)",
+              flush=True)
     print(f"run {len(todo)}, killed {counts['killed'] + counts['timeout']} "
           f"({counts['timeout']} by timeout), equivalent {counts['equivalent']}, "
           f"survived {counts['survived']}")
     return 1 if counts["survived"] else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -312,15 +312,6 @@ def _lexsort(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.lexsort((cols, rows))
 
 
-def _merge_runs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (row, col) order of cells that come as sorted runs, one run per
-    matrix: a stable sort on one 16-byte big-endian key, which finds the runs
-    and merges them, where ``lexsort`` would sort the whole again."""
-    key = np.empty((len(rows), 2), ">u8")
-    key[:, 0], key[:, 1] = rows, cols
-    return np.argsort(key.view("V16").ravel(), kind="stable")
-
-
 def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], sort
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort the cells of ``parts``, each a (rows, cols, counts) triple, by
@@ -333,12 +324,21 @@ def _sum_cells(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], sort
     for i, column in enumerate(columns):
         columns[i] = column[order]
     del column
+    return _sum_sorted(columns)
+
+
+def _sum_sorted(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of the (rows, cols, counts) ``columns``, which are in (row,
+    col) order, with the counts of equal cells added up. Empties ``columns``,
+    and frees each column as soon as its summed copy exists."""
     rows, cols, counts = columns
     columns.clear()
     first_of_cell = np.ones(len(rows), bool)
     first_of_cell[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     starts = np.flatnonzero(first_of_cell)
-    return rows[starts], cols[starts], np.add.reduceat(counts, starts)
+    rows = rows[starts]
+    cols = cols[starts]
+    return rows, cols, np.add.reduceat(counts, starts)
 
 
 def check_compatible(first: TrafficMatrix, *rest: TrafficMatrix) -> None:
@@ -355,20 +355,46 @@ def check_compatible(first: TrafficMatrix, *rest: TrafficMatrix) -> None:
 
 
 def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
-    """Element-wise sum of matrices built under the same key and window size.
+    """Element-wise sum of matrices built under the same key and window size:
+    ``merge_list`` of a new list, so it peaks at 48 bytes per input cell
+    besides the inputs, which the caller still holds."""
+    return merge_list([first, *rest])
 
-    The summed packet_count must fit the file's 64-bit field. The counts of
-    each valid input sum to its packet_count, so no merged cell can wrap, and
-    its cells are in (row, col) order, so the inputs are merged as sorted runs.
+
+def merge_list(ms: list[TrafficMatrix]) -> TrafficMatrix:
+    """Element-wise sum of the one or more matrices of ``ms``, which must
+    share one key and window size, and whose summed packet_count must fit
+    the file's 64-bit field. Once both hold, empties ``ms``; a mismatch
+    raises with ``ms`` left whole.
+
+    Each input is popped and copied into one 16-byte big-endian (row, col)
+    sort key and one counts array, so an input that nothing else holds is
+    freed as soon as it is copied. The counts of each valid input sum to its
+    packet_count, so no merged cell can wrap, and its cells are in (row, col)
+    order, so a stable sort of the key finds the inputs' runs and merges
+    them. A merge holds 48 bytes per input cell at its peak: the key, the
+    counts, the sorting permutation and the sorted rows and cols.
     """
-    ms = (first, *rest)
-    check_compatible(first, *rest)
+    check_compatible(*ms)
+    window_size, key_id = ms[0].window_size, ms[0].key_id
     packets = sum(m.packet_count for m in ms)
     if packets >> 64:
         raise InvariantViolation(f"merged packet_count {packets} does not fit in 64 bits")
 
-    cells = _sum_cells([(m.rows, m.cols, m.counts) for m in ms], _merge_runs)
-    nonempty = [m for m in ms if m.packet_count]
-    start = min((m.start_time_us for m in nonempty), default=0)
-    end = max((m.end_time_us for m in nonempty), default=0)
-    return TrafficMatrix(first.window_size, packets, start, end, first.key_id, *cells)
+    start = min((m.start_time_us for m in ms if m.packet_count), default=0)
+    end = max((m.end_time_us for m in ms if m.packet_count), default=0)
+    hi = sum(len(m.counts) for m in ms)
+    key = np.empty((hi, 2), ">u8")
+    counts = np.empty(hi, np.uint64)
+    while ms:  # filled from the end, so the inputs keep their order
+        m = ms.pop()
+        lo = hi - len(m.counts)
+        key[lo:hi, 0], key[lo:hi, 1], counts[lo:hi] = m.rows, m.cols, m.counts
+        hi = lo
+    del m
+    order = np.argsort(key.view("V16").ravel(), kind="stable")
+    columns = [key[:, i][order].byteswap(inplace=True).view(np.uint64) for i in (0, 1)]
+    del key
+    columns.append(counts[order])
+    del counts, order
+    return TrafficMatrix(window_size, packets, start, end, key_id, *_sum_sorted(columns))

@@ -7,6 +7,7 @@ against independently constructed bytes.
 
 import os
 import random
+import signal
 import socket
 import struct
 import subprocess
@@ -17,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from tmsensor import cli
 from tmsensor.anon import AnonKey
 from tmsensor.matrix import TrafficMatrix
 from tmsensor.pcap import PacketBatch
@@ -200,3 +202,30 @@ def old_mtime():
         os.utime(path, (then, then))
 
     return _age
+
+
+# A test's watch_loop converts a few small captures in well under a second.
+WATCH_BOUND_SECS = 15
+
+
+@pytest.fixture
+def bounded_watch(monkeypatch):
+    """Fail a test whose ``cli.watch_loop`` runs past WATCH_BOUND_SECS, so a
+    fault that keeps a ``--once`` loop polling fails fast instead of hanging
+    the suite. The bound is a SIGALRM timer, so the loop must run in the
+    main thread."""
+    real = cli.watch_loop
+
+    def expire(signum, frame):
+        pytest.fail(f"watch_loop still running after {WATCH_BOUND_SECS} s")
+
+    def watch_loop(*args, **kwargs):
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, WATCH_BOUND_SECS)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    monkeypatch.setattr(cli, "watch_loop", watch_loop)

@@ -28,6 +28,8 @@ from tmsensor.tmf import read_tmf, write_tmf
 
 from conftest import eth_ipv4_capture, pcap_header, random_matrix, run_python
 
+pytestmark = pytest.mark.usefixtures("bounded_watch")
+
 KEY = AnonKey(bytes(range(32)))
 
 REFERENCE_SPEC = SynthSpec(

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import random
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmsensor import analytics
 from tmsensor.analytics import (
     AnalysisReport,
     _histogram,
@@ -233,6 +236,51 @@ def test_analyze_many_raises_a_mismatch_wherever_it_is(blocks, error, place):
         merge(*blocks)
     with pytest.raises(error):
         analyze_many(iter(blocks))
+
+
+def test_analyze_many_keeps_no_reference_to_a_folds_inputs(monkeypatch):
+    """Blocks of 3 distinct cells fold as [b0], [merged, b1, b2] and, after
+    the last block, [merged, b3]: by the time each fold returns, every block
+    it took in is gone."""
+    alive = []
+    real_merge = analytics.merge
+
+    def merge_spy(ms):
+        refs = [weakref.ref(m) for m in ms]
+        merged = real_merge(ms)
+        alive.append((len(refs), sum(ref() is not None for ref in refs)))
+        return merged
+
+    monkeypatch.setattr(analytics, "merge", merge_spy)
+    blocks = (matrix_of({(i, j): 1 + j for j in range(3)}) for i in range(4))
+    merged = analyze_many(blocks, lambda report: None)
+    assert alive == [(1, 0), (3, 0), (2, 0)]
+    assert merged.unique_links == 12
+
+
+def test_a_fold_holds_under_56_bytes_per_cell():
+    """The traced peak of one analyze_many over 127 blocks of 1000 distinct
+    cells. They fold as 1, 3, 7, ..., 127 blocks, so the last fold holds all
+    127 000 cells. Each fold copies its inputs into one sort key and drops
+    them, which measured 49 bytes per folded cell; merging with every input
+    held measured 89."""
+    blocks, cells = 127, 1000
+    rows = np.arange(cells, dtype=np.uint64) * np.uint64(7919)
+
+    def stream():
+        for i in range(blocks):
+            yield TrafficMatrix(1024, cells, i, i + 1, KEY_ID, rows.copy(),
+                                np.full(cells, i, np.uint64), np.ones(cells, np.uint64))
+
+    tracemalloc.start()
+    try:
+        merged = analyze_many(stream(), lambda report: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert merged.unique_links == blocks * cells
+    per_cell = peak / (blocks * cells)
+    assert per_cell < 56, f"{per_cell:.1f} bytes per folded cell"
 
 
 def test_merge_mass_additivity_property():

@@ -43,6 +43,8 @@ from conftest import (
     run_python,
 )
 
+pytestmark = pytest.mark.usefixtures("bounded_watch")
+
 
 def kv_lines(text: str) -> dict:
     out = {}

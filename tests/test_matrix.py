@@ -2,6 +2,7 @@
 
 import io
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tmsensor.matrix import (
     TrafficMatrix,
     build_windows,
     merge,
+    merge_list,
 )
 from tmsensor.pcap import READ_CHUNK, PacketBatch, parse_pcap
 
@@ -606,6 +608,49 @@ def test_merge_rejects_packet_count_past_64_bits():
     assert merged.entries == {(1, 2): 3 << 62}
     with pytest.raises(InvariantViolation, match="64 bits"):
         merge(merged, quarter)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(entries_strategy, min_size=1, max_size=5))
+def test_merge_list_empties_its_list_and_equals_merge(entries):
+    ms = [matrix_from(e, 1000 + i) for i, e in enumerate(entries)]
+    copies = [matrix_from(e, 1000 + i) for i, e in enumerate(entries)]
+    consumed = list(ms)
+    assert merge_list(consumed) == merge(*ms)
+    assert consumed == []
+    assert ms == copies  # the inputs themselves are not changed
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("bad, error", [
+    (TrafficMatrix.from_entries(512, 1, 1, 2, b"\x02" * 8, {(1, 2): 1}), KeyMismatch),
+    (TrafficMatrix.from_entries(1024, 1, 1, 2, b"\x09" * 8, {(1, 2): 1}), WindowSizeMismatch),
+    (TrafficMatrix.from_entries(512, (1 << 64) - 1, 1, 2, b"\x09" * 8,
+                                {(1, 2): (1 << 64) - 1}), InvariantViolation),
+])
+def test_merge_list_leaves_its_list_whole_on_a_mismatch(bad, error, at):
+    ms = [matrix_from({(1, 2): 3}), matrix_from({(2, 1): 1})]
+    ms.insert(at, bad)
+    given_list = list(ms)
+    with pytest.raises(error):
+        merge_list(ms)
+    assert len(ms) == 3 and all(m is g for m, g in zip(ms, given_list))
+
+
+def test_merge_list_frees_each_input_before_it_sorts(monkeypatch):
+    ms = [matrix_from({(i, j): 1 + i + j for j in range(5)}) for i in range(4)]
+    refs = [weakref.ref(m) for m in ms]
+    alive_at_sort = []
+    real_argsort = np.argsort
+
+    def argsort(*args, **kwargs):
+        alive_at_sort.append(sum(ref() is not None for ref in refs))
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    merged = merge_list(ms)
+    assert alive_at_sort == [0]
+    assert merged.packet_count == sum(1 + i + j for i in range(4) for j in range(5))
 
 
 def test_builder_output_validates_and_is_sorted_on_demand(fixed_key):

@@ -11,11 +11,12 @@ buffer has no room for another read, or the stream ends. Those records
 become one ``PacketBatch`` of numpy columns: the record headers are walked
 one by one, resuming across reads, then one vectorized pass classifies every
 record of the batch and gathers the addresses of its Ethernet, Linux SLL and
-raw IPv4/IPv6 frames, behind any number of 802.1Q tags. Of a longer record
-only the first ``MAX_RECORD_BUFFER`` (64 KiB) bytes are parsed; the rest is
-drained, not kept. Memory use is bounded by the buffer (1 MiB plus 64 KiB)
-plus the columns of one batch (and, for a batch holding 802.1Q tags, a few
-bytes of scratch per buffer byte), no matter how large the file is.
+raw IPv4/IPv6 frames, behind any number of 802.1Q tags. A tagged record's
+run of tags is skipped by one regex scan bounded by the record's own bytes.
+Of a longer record only the first ``MAX_RECORD_BUFFER`` (64 KiB) bytes are
+parsed; the rest is drained, not kept. Memory use is bounded by the buffer
+(1 MiB plus 64 KiB) plus the columns of one batch, no matter how large the
+file is.
 ``CaptureStats`` advance one batch at a time. A capture cut off mid-record
 (the normal outcome of an interrupted mirror port) is reported through
 ``CaptureStats.truncated_tail`` instead of an error.
@@ -26,6 +27,7 @@ representation the matrix builder reads.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, NamedTuple
@@ -59,6 +61,9 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
 ETHERTYPE_VLAN = 0x8100
 
+# A run of 802.1Q tags, each the VLAN EtherType and two bytes of tag control.
+_TAG_RUN = re.compile(rb"(?:\x81\x00..)*", re.DOTALL)
+
 # The read size. Reads go one after another into one buffer, reused for the
 # whole capture, after the start of the record cut by the previous batch's end.
 READ_CHUNK = 256 * 1024
@@ -78,8 +83,8 @@ BATCH_BYTES = 1024 * 1024
 MAX_RECORD_BUFFER = 64 * 1024
 
 # Zero bytes written after the data in the buffer: a 16-byte read at any
-# record or address start stays in the buffer, and every run of 802.1Q tags
-# ends inside it.
+# record or address start stays in the buffer, and so do the reads after a
+# tag scan, which stops at most 2 bytes past its record's end.
 _PAD = bytes(48)
 
 # The buffer's room for data: a carried record start, shorter than a record
@@ -237,9 +242,12 @@ def _parse_records(data, size, starts, stats, byte_order, nanos, linktype):
     else:
         et = body + _ETHERTYPE_AT[linktype]
         ethertype = _words(buf, et)
-        if (ethertype == ETHERTYPE_VLAN).any():
-            et = _skip_tags(buf)[et]
-            ethertype = _words(buf, et)
+        # A scan that gets past end - 2 leaves its record malformed however
+        # far the run goes on, so each scan stops by end + 2.
+        tagged = np.flatnonzero(ethertype == ETHERTYPE_VLAN)
+        et[tagged] = [_TAG_RUN.match(data, pos, stop).end() for pos, stop
+                      in zip(et[tagged].tolist(), (end[tagged] + 2).tolist())]
+        ethertype[tagged] = _words(buf, et[tagged])
         ip = et + 2
         framed = ip <= end
         version = np.where(ethertype == ETHERTYPE_IPV4, 4,
@@ -264,23 +272,3 @@ def _parse_records(data, size, starts, stats, byte_order, nanos, linktype):
 def _words(buf, at):
     """The big-endian 16-bit words at offsets ``at`` of ``buf``."""
     return buf[at].astype(np.uint16) << 8 | buf[at + 1]
-
-
-def _skip_tags(buf):
-    """[i] is the first of offsets i, i + 4, i + 8, ... whose word is not the
-    802.1Q EtherType: where an EtherType read at i lies past its tags.
-
-    Each offset class mod 4 is one column of a grid, and a running minimum
-    up each column finds the end of every run of tags in one pass. The
-    arrays span the whole buffer, so they are filled in place, not through
-    temporaries of its size.
-    """
-    n = (len(buf) - 1) // 4 * 4
-    tagged = buf[:n] == ETHERTYPE_VLAN >> 8
-    tagged &= buf[1 : n + 1] == ETHERTYPE_VLAN & 0xFF
-    untagged_at = np.arange(n, dtype=np.int32)
-    untagged_at[tagged] = n
-    del tagged
-    grid = untagged_at[::-1].reshape(-1, 4)  # a view: the minimum fills untagged_at
-    np.minimum.accumulate(grid, out=grid)
-    return untagged_at

@@ -37,9 +37,9 @@ def synth_capture(seed: int) -> bytes:
     return out.getvalue()
 
 
-def mixed_capture(seed: int) -> bytes:
+def mixed_capture(seed: int, max_tags: int = 0) -> bytes:
     """IPv4 and IPv6 frames between a few dozen hosts, as the conftest
-    builders write them."""
+    builders write them, each behind up to ``max_tags`` 802.1Q tags."""
     rng = random.Random(seed)
     v4 = [f"10.{i >> 8}.{i & 255}.{rng.randrange(1, 255)}" for i in range(60)]
     v6 = [f"fd00::{rng.randrange(1 << 16):x}:{i:x}" for i in range(30)]
@@ -48,11 +48,12 @@ def mixed_capture(seed: int) -> bytes:
     for _ in range(PACKETS):
         ts += rng.randrange(1, 5000)
         payload = bytes(rng.randrange(0, 80))
+        vlans = rng.randrange(max_tags + 1) if max_tags else 0
         if rng.random() < 0.7:
-            frame = eth_frame(ipv4_packet(rng.choice(v4), rng.choice(v4), payload))
+            frame = eth_frame(ipv4_packet(rng.choice(v4), rng.choice(v4), payload), vlans=vlans)
         else:
             frame = eth_frame(ipv6_packet(rng.choice(v6), rng.choice(v6), payload),
-                              ethertype=0x86DD)
+                              ethertype=0x86DD, vlans=vlans)
         out += pcap_record(frame, ts_sec=ts // 1_000_000, ts_frac=ts % 1_000_000)
     return bytes(out)
 
@@ -61,6 +62,7 @@ CAPTURES = {
     "synth-v4": lambda: synth_capture(11),
     "mixed-v4-v6": lambda: mixed_capture(12),
     "cut-mid-record": lambda: synth_capture(13)[:-7],  # the last record loses 7 bytes
+    "tagged-0-3": lambda: mixed_capture(14, max_tags=3),
 }
 
 GOLDEN = {
@@ -96,6 +98,17 @@ GOLDEN = {
         "131072/tmf": "9e9417036d0679412f4b3f925420ec62502a0904d0949874335cdbe371e7b8ec",
         "131072/analyze-text": "384f252490353e067f6eaf547699b340b865e796f4658e77df90c64b9b4ec238",
         "131072/analyze-json": "ad0dbd2100a89c74ede39313ba44d14fa96a15f7578fb5129650d89eacaa1006",
+    },
+    "tagged-0-3": {
+        "capture": "d2c72cbfc1dfef786e715eb58d504596113fc8464e1381b34c92c15ad8d2ec41",
+        "1024/convert": "4cf1c56ba251f0a4160a55107f3040b492744af4c6c82c69d9f1137990ba2b63",
+        "1024/tmf": "3a79abc13c89c1061b32062bb471245ea196b654ca921252a67279881cd81971",
+        "1024/analyze-text": "70f638dd5af30ab88e0948a6d946e5c199ab8bd38884166db9835e3ea2fc67a9",
+        "1024/analyze-json": "f46af2a1795c43f7d31ae3340010a10ddf3025ebe00bd4f1c7ec7a372147be37",
+        "131072/convert": "63c08467cad4290b69b591f2f4cf9fc566d402ca9196e8d33a92067a020acd67",
+        "131072/tmf": "203a228a066e25b2f525b1bdf4e84752ae096ef5828df727aca4bc93f1cdc3a3",
+        "131072/analyze-text": "6e16e1502f7b084fbf3dffa60d669d31ed84154b64b8294e4dc20042c5b09d5e",
+        "131072/analyze-json": "8355b7475e23d8d08ad2a16a6e63c388c12ff1c96d95e5ca31a7eb0e4f2ff38e",
     },
 }
 

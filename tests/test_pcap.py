@@ -13,6 +13,7 @@ from tmsensor.pcap import (
     BATCH_BYTES,
     BATCH_RECORDS,
     GLOBAL_HEADER_LEN,
+    MAX_RECORD_BUFFER,
     READ_CHUNK,
     RECORD_HEADER_LEN,
     parse_pcap,
@@ -378,6 +379,38 @@ def test_dense_capture_keeps_one_batch_per_read():
     record_ends = itertools.accumulate(lens)  # from the first record's start
     per_read = collections.Counter((end - 1) // READ_CHUNK for end in record_ends)
     assert batch_sizes(ipv4_records(lens)) == [per_read[i] for i in sorted(per_read)]
+
+
+def test_a_batch_that_reaches_the_record_floor_in_one_read_takes_no_other():
+    lens = [128] * (2 * BATCH_RECORDS)
+    assert sum(lens) == 2 * READ_CHUNK  # each read ends BATCH_RECORDS records
+    assert batch_sizes(ipv4_records(lens)) == [BATCH_RECORDS, BATCH_RECORDS]
+
+
+def test_a_batch_after_the_longest_carried_record_start_fills_the_buffer():
+    # The first batch's reads end inside a record 1 byte short of one that
+    # would be drained, so the second batch starts with that many carried
+    # bytes and its four reads fill the buffer to 1 byte short of its end.
+    carried = RECORD_HEADER_LEN + MAX_RECORD_BUFFER - 1
+    lens = [600] * ((BATCH_BYTES - carried) // 600 - 1)
+    lens.append(BATCH_BYTES - carried - sum(lens))
+    first = len(lens)
+    lens += [carried + 1000] + [600] * (BATCH_BYTES // 600 + 10)
+    sizes = batch_sizes(ipv4_records(lens))
+    assert sizes[0] == first and sum(sizes) == len(lens)
+    assert sum(lens[first : first + sizes[1]]) > carried + BATCH_BYTES - 600
+
+
+def test_a_record_with_all_its_parsed_bytes_in_hand_closes_the_batch():
+    # The first batch's reads end just past the bytes parsed of a record, so
+    # that record is parsed with the first batch, and the rest is drained.
+    in_hand = RECORD_HEADER_LEN + MAX_RECORD_BUFFER
+    lens = [600] * ((BATCH_BYTES - in_hand) // 600 - 1)
+    lens.append(BATCH_BYTES - in_hand - sum(lens))
+    first = len(lens)
+    lens += [in_hand + 1000] + [600] * 100
+    sizes = batch_sizes(ipv4_records(lens))
+    assert sizes[0] == first + 1 and sum(sizes) == len(lens)
 
 
 def test_batch_of_empty_records_stays_within_its_memory_bound():

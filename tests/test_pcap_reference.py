@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tmsensor.pcap import (
+    BATCH_BYTES,
     BATCH_RECORDS,
     GLOBAL_HEADER_LEN,
     MAX_RECORD_BUFFER,
@@ -236,6 +237,21 @@ def test_records_longer_than_the_cap_inside_one_chunk():
     assert (stats.valid_ip_packets, stats.skipped_malformed) == (4, 1)
 
 
+@pytest.mark.parametrize("last_read", [1, 2, MAX_RECORD_BUFFER - 1, MAX_RECORD_BUFFER])
+def test_records_longer_than_the_whole_buffer(last_read):
+    # Each shares its first read with a small record, and the rest of it is
+    # drained in reads of MAX_RECORD_BUFFER bytes and a last one of
+    # ``last_read``, so it never has to fit the buffer. The capture is also
+    # cut inside the second one's drain.
+    small = pcap_record(link_frame(ETHERNET, 0x0800, 0, ipv4_packet("10.0.0.1", "10.0.0.2")))
+    frame_len = READ_CHUNK - len(small) - RECORD_HEADER_LEN + 16 * MAX_RECORD_BUFFER + last_read
+    huge = pcap_record(link_frame(ETHERNET, 0x86DD, 0, ipv6_packet("fd00::1", "fd00::2"))
+                       .ljust(frame_len, b"h"))
+    data = pcap_header() + small + huge + small + huge
+    for end in (len(data), len(data) - 100):
+        assert parse_all(data[:end]) == reference_parse(data[:end]), end
+
+
 def ipv4_record(payload: bytes) -> bytes:
     return pcap_record(link_frame(ETHERNET, 0x0800, 0, ipv4_packet("10.0.0.1", "10.0.0.2",
                                                                  payload)))
@@ -340,3 +356,97 @@ def test_short_reads_give_the_same_batches(k):
     assert (records_of(short), short_stats) == (records_of(whole), stats)
     assert (records_of(whole), stats) == reference_parse(data)
     assert stats.truncated_tail and stats.skipped_non_ip and stats.skipped_malformed
+
+
+def test_a_batch_reads_again_from_the_last_offset_a_whole_read_fits():
+    # Reads of a seventh of that offset land on it exactly; the buffer still
+    # has room for a whole read there, so the batch takes an eighth.
+    last_fit = RECORD_HEADER_LEN + MAX_RECORD_BUFFER + BATCH_BYTES - READ_CHUNK
+    k = last_fit // 7
+    assert 7 * k == last_fit
+    data = pcap_header() + record_filling(600) * (2 * BATCH_BYTES // 600)
+    batches, stats = parse_pcap(_ShortReader(data, k))
+    next(batches)
+    assert stats.total_records == 8 * k // 600 < BATCH_RECORDS
+
+
+# --- 802.1Q tags ---
+
+LINK_HEAD = {ETHERNET: 12, LINUX_SLL: 14}  # bytes before a frame's first EtherType
+
+
+@pytest.mark.parametrize("linktype", [ETHERNET, LINUX_SLL])
+def test_tag_depths_from_zero_to_ten_in_one_batch(linktype):
+    rng = random.Random(linktype)
+    depths = list(range(11)) * 40
+    rng.shuffle(depths)
+    out = bytearray(pcap_header(linktype=linktype))
+    kinds = [rng.choice(["v4", "v6", "non-ip"]) for _ in depths]
+    for depth, kind in zip(depths, kinds):
+        packet = (ipv6_packet(rng.choice(HOSTS6), rng.choice(HOSTS6)) if kind == "v6"
+                  else ipv4_packet(rng.choice(HOSTS4), rng.choice(HOSTS4)))
+        ethertype = {"v4": 0x0800, "v6": 0x86DD, "non-ip": 0x0806}[kind]
+        out += pcap_record(link_frame(linktype, ethertype, depth, packet), rng.randrange(1 << 32))
+    data = bytes(out)
+    batches, stats = parse_pcap(io.BytesIO(data))
+    assert len(list(batches)) == 1
+    assert parse_all(data) == reference_parse(data)
+    assert (stats.valid_ip_packets, stats.skipped_non_ip, stats.skipped_malformed) == (
+        len(kinds) - kinds.count("non-ip"), kinds.count("non-ip"), 0)
+
+
+def tag_run_record(linktype: int, past_end: int, capped: bool) -> bytes:
+    """A record whose run of tags ends ``past_end`` bytes past its parsed end
+    (before it, if negative), then an ARP EtherType. The record is cut by its
+    incl_len, or by the cap on the bytes parsed of a longer record."""
+    head = LINK_HEAD[linktype]
+    if capped:
+        tags, rest = divmod(MAX_RECORD_BUFFER + past_end - head, 4)
+        assert rest == 0
+        return pcap_record(link_frame(linktype, 0x0806, tags, b"a" * MAX_RECORD_BUFFER))
+    return pcap_record(link_frame(linktype, 0x0806, 3, b"")[: head + 12 - past_end])
+
+
+# The cap is a multiple of 4, so past Ethernet's 12 bytes a run can end on
+# it, and past Linux SLL's 14 bytes only 2 bytes before or past it.
+@pytest.mark.parametrize("linktype,past_end,capped", [
+    *((link, past_end, False) for link in (ETHERNET, LINUX_SLL) for past_end in (-2, 0, 2)),
+    (ETHERNET, 0, True), (LINUX_SLL, -2, True), (LINUX_SLL, 2, True)])
+def test_tag_runs_that_end_near_the_bytes_parsed(linktype, past_end, capped):
+    # A run that ends 2 bytes before the parsed end leaves room for its
+    # EtherType, so the record is non-IP; a run that ends at or past the
+    # parsed end leaves none, so the record is malformed. The next record's
+    # header starts with bytes that read as tags.
+    ipv4 = pcap_record(link_frame(linktype, 0x0800, 0, ipv4_packet("10.0.0.1", "10.0.0.2")),
+                       ts_sec=0x00810081)
+    data = pcap_header(linktype=linktype) + tag_run_record(linktype, past_end, capped) + ipv4
+    records, stats = parse_all(data)
+    assert (records, stats) == reference_parse(data)
+    assert (stats.valid_ip_packets, stats.skipped_non_ip, stats.skipped_malformed) == (
+        1, past_end < 0, past_end >= 0)
+
+
+@pytest.mark.parametrize("linktype", [ETHERNET, LINUX_SLL])
+def test_records_short_of_their_ethertype_before_bytes_that_read_as_a_tag(linktype):
+    # Each short record is followed by a header whose bytes at the short
+    # record's EtherType offset read 0x8100. The offset lies from 1 byte
+    # before to 14 bytes past the record's end.
+    tagged = link_frame(linktype, 0x0800, 1, ipv4_packet("10.0.0.1", "10.0.0.2"))
+    after = link_frame(linktype, 0x0800, 0, ipv4_packet("10.0.0.3", "10.0.0.4"))
+    out = bytearray(pcap_header(linktype=linktype))
+    shorts = 0
+    for past_end in (-1, 0, 2, 4, 6, 12, 14):  # the EtherType's offset from the end
+        length = LINK_HEAD[linktype] - past_end
+        if length < 0:
+            continue
+        out += pcap_record(tagged[:length])
+        word_at = len(out) + past_end
+        # Little-endian 0x00810081 is 81 00 81 00; 0x81008100 is 00 81 00 81.
+        ts_sec = 0x81008100 if past_end == -1 else 0x00810081
+        out += struct.pack("<IIII", ts_sec, 0x00810081, len(after), 0x00810081) + after
+        assert out[word_at : word_at + 2] == b"\x81\x00"
+        shorts += 1
+    data = bytes(out)
+    records, stats = parse_all(data)
+    assert (records, stats) == reference_parse(data)
+    assert (stats.valid_ip_packets, stats.skipped_malformed) == (shorts, shorts)

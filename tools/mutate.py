@@ -162,7 +162,9 @@ def run_tests(workdir: str, tests: list[str], timeout: float) -> tuple[str, floa
 def load_equivalent() -> set[str]:
     try:
         with open(EQUIVALENT, encoding="utf-8") as f:
-            return {line.split("  #", 1)[0].strip() for line in f
+            # The description ends in a backtick; the line it quotes may
+            # hold a comment of its own.
+            return {line.split("`  #", 1)[0].strip() + "`" for line in f
                     if line.strip() and not line.startswith("#")}
     except FileNotFoundError:
         return set()

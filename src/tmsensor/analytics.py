@@ -6,7 +6,7 @@ packets are summed in ``uint64``, and ``np.bincount`` counts the hosts of
 each degree. No statistical fitting happens here; reports are deterministic
 and directly comparable across windows.
 
-``analyze_many`` can hand each window's report on as soon as it exists, and
+``analyze_many`` hands each window's report on as soon as it exists, and
 ``format_report_text`` and ``format_report_json`` render one report on its
 own, so a caller can write reports out one at a time and keep none.
 """
@@ -18,8 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .matrix import TrafficMatrix
-from .matrix import merge_list as merge  # bench/tracer.py wraps analytics.merge by name
+from .matrix import TrafficMatrix, merge
 
 
 @dataclass
@@ -82,14 +81,10 @@ def _histogram(degree: np.ndarray) -> dict[int, int]:
 
 
 def analyze_many(
-    ms: Iterable[TrafficMatrix],
-    emit: Callable[[AnalysisReport], None] | None = None,
-):
-    """Per-window reports plus the report of the merged whole.
-
-    With ``emit``, each window's report is handed to ``emit`` as soon as it
-    exists, in input order, none is kept, and the merged report is
-    returned. Without it, the call returns ``(reports, merged)``.
+    ms: Iterable[TrafficMatrix], emit: Callable[[AnalysisReport], None]
+) -> AnalysisReport:
+    """Hand each window's report to ``emit`` as soon as it exists, in input
+    order, keeping none, and return the report of the merged whole.
 
     The merged report comes from merging the matrices and analyzing the
     result; max- and unique-type fields do not sum across windows, so
@@ -98,17 +93,14 @@ def analyze_many(
     ``ms`` is read once, in order, and may be any iterable. Matrices wait
     until their cells outnumber the merged matrix's cells; then each waiting
     one is reported and all are folded into the merged matrix by one
-    ``merge_list``, which copies each input into one sort key and drops it,
-    and no reference to them is kept. So memory holds the merged cells and
-    at most about as many waiting cells, not every matrix, and a fold peaks
-    at about 48 bytes per cell folded. Reporting a run of matrices at a
-    time, not each as it is read, keeps reading and analysis in separate
-    loops, which is faster. A key, window-size or packet-count mismatch
-    raises when the mismatching matrix is folded in.
+    ``merge``, which copies each input into one sort key and drops it, and
+    no reference to them is kept. So memory holds the merged cells and at
+    most about as many waiting cells, not every matrix, and a fold peaks at
+    about 48 bytes per cell folded. Reporting a run of matrices at a time,
+    not each as it is read, keeps reading and analysis in separate loops,
+    which is faster. A key, window-size or packet-count mismatch raises when
+    the mismatching matrix is folded in.
     """
-    if emit is None:
-        reports: list[AnalysisReport] = []
-        return reports, analyze_many(ms, reports.append)
     merged: list[TrafficMatrix] = []  # the merged matrix, once there is one
     waiting: list[TrafficMatrix] = []
     merged_cells = waiting_cells = 0

@@ -354,14 +354,7 @@ def check_compatible(first: TrafficMatrix, *rest: TrafficMatrix) -> None:
                                      f"({first.window_size} vs {m.window_size})")
 
 
-def merge(first: TrafficMatrix, *rest: TrafficMatrix) -> TrafficMatrix:
-    """Element-wise sum of matrices built under the same key and window size:
-    ``merge_list`` of a new list, so it peaks at 48 bytes per input cell
-    besides the inputs, which the caller still holds."""
-    return merge_list([first, *rest])
-
-
-def merge_list(ms: list[TrafficMatrix]) -> TrafficMatrix:
+def merge(ms: list[TrafficMatrix]) -> TrafficMatrix:
     """Element-wise sum of the one or more matrices of ``ms``, which must
     share one key and window size, and whose summed packet_count must fit
     the file's 64-bit field. Once both hold, empties ``ms``; a mismatch

@@ -5,6 +5,7 @@ directly (struct only, no package code) so tests exercise the parser
 against independently constructed bytes.
 """
 
+import contextlib
 import os
 import random
 import signal
@@ -204,6 +205,22 @@ def old_mtime():
     return _age
 
 
+@contextlib.contextmanager
+def time_bound(secs: float, what: str):
+    """Fail the test if the ``with`` body runs past ``secs``. The bound is a
+    SIGALRM timer, so the body must run in the main thread."""
+    def expire(signum, frame):
+        pytest.fail(f"{what} still running after {secs} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, secs)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # A test's watch_loop converts a few small captures in well under a second.
 WATCH_BOUND_SECS = 15
 
@@ -212,20 +229,23 @@ WATCH_BOUND_SECS = 15
 def bounded_watch(monkeypatch):
     """Fail a test whose ``cli.watch_loop`` runs past WATCH_BOUND_SECS, so a
     fault that keeps a ``--once`` loop polling fails fast instead of hanging
-    the suite. The bound is a SIGALRM timer, so the loop must run in the
-    main thread."""
+    the suite."""
     real = cli.watch_loop
 
-    def expire(signum, frame):
-        pytest.fail(f"watch_loop still running after {WATCH_BOUND_SECS} s")
-
     def watch_loop(*args, **kwargs):
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, WATCH_BOUND_SECS)
-        try:
+        with time_bound(WATCH_BOUND_SECS, "watch_loop"):
             return real(*args, **kwargs)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
     monkeypatch.setattr(cli, "watch_loop", watch_loop)
+
+
+# The slowest parser test takes about 3 s.
+PARSER_BOUND_SECS = 20
+
+
+@pytest.fixture
+def bounded_parse(request):
+    """Fail a test that runs past PARSER_BOUND_SECS, so a parser fault that
+    spins instead of reading on fails fast instead of hanging the suite."""
+    with time_bound(PARSER_BOUND_SECS, request.node.name):
+        yield

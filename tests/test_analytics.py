@@ -156,21 +156,24 @@ def test_histogram_of_no_hosts_is_empty():
 
 
 def test_analyze_many_empty_sequence():
-    reports, merged = analyze_many([])
+    reports = []
+    merged = analyze_many([], reports.append)
     assert reports == []
     assert merged == AnalysisReport()
 
 
 def test_single_matrix_merged_equals_per_window():
     m = matrix_of({(1, 2): 3, (4, 5): 1})
-    reports, merged = analyze_many([m])
+    reports = []
+    merged = analyze_many([m], reports.append)
     assert reports == [merged]
 
 
 def test_disjoint_hosts_sum_unique_counts():
     a = matrix_of({(1, 2): 3, (3, 4): 1})
     b = matrix_of({(10, 20): 2, (30, 40): 2})
-    reports, merged = analyze_many([a, b])
+    reports = []
+    merged = analyze_many([a, b], reports.append)
     assert merged.unique_sources == sum(r.unique_sources for r in reports)
     assert merged.unique_destinations == sum(r.unique_destinations for r in reports)
     assert merged.unique_links == sum(r.unique_links for r in reports)
@@ -178,7 +181,8 @@ def test_disjoint_hosts_sum_unique_counts():
 
 def test_identical_matrices_double_mass_not_support():
     m = matrix_of({(1, 2): 3, (3, 2): 1})
-    reports, merged = analyze_many([m, m])
+    reports = []
+    merged = analyze_many([m, m], reports.append)
     assert merged.valid_packets == 2 * reports[0].valid_packets
     assert merged.unique_links == reports[0].unique_links
     assert merged.max_link_packets == 2 * reports[0].max_link_packets
@@ -188,8 +192,9 @@ def test_merged_report_is_merge_then_analyze_not_field_sums():
     # Overlapping hosts make summed per-window fields wrong.
     a = matrix_of({(1, 2): 3})
     b = matrix_of({(1, 9): 5})
-    reports, merged = analyze_many([a, b])
-    assert merged == analyze(merge(a, b))
+    reports = []
+    merged = analyze_many([a, b], reports.append)
+    assert merged == analyze(merge([a, b]))
     assert merged.unique_sources == 1  # a naive sum would say 2
     assert merged.max_source_fanout == 2
 
@@ -215,9 +220,10 @@ def block_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(block_lists())
 def test_analyze_many_folds_to_one_merge(blocks):
-    reports, merged = analyze_many(iter(blocks))
+    reports = []
+    merged = analyze_many(iter(blocks), reports.append)
     assert reports == [analyze(b) for b in blocks]
-    assert merged == analyze(merge(*blocks))
+    assert merged == analyze(merge(list(blocks)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,9 +239,9 @@ def test_analyze_many_raises_a_mismatch_wherever_it_is(blocks, error, place):
     at = {"first": 0, "middle": len(blocks) // 2, "last": len(blocks)}[place]
     blocks.insert(at, bad)
     with pytest.raises(error):
-        merge(*blocks)
+        merge(list(blocks))
     with pytest.raises(error):
-        analyze_many(iter(blocks))
+        analyze_many(iter(blocks), lambda report: None)
 
 
 def test_analyze_many_keeps_no_reference_to_a_folds_inputs(monkeypatch):
@@ -288,7 +294,7 @@ def test_merge_mass_additivity_property():
     for _ in range(25):
         a = matrix_of(random_entries(rng))
         b = matrix_of(random_entries(rng))
-        combined = analyze(merge(a, b))
+        combined = analyze(merge([a, b]))
         assert combined.valid_packets == (
             analyze(a).valid_packets + analyze(b).valid_packets
         )

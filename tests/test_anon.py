@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 import io
+import os
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tmsensor import cli
 from tmsensor.anon import (
     KEY_FILE_LEN,
     AnonKey,
@@ -19,7 +21,7 @@ from tmsensor.anon import (
     pseudonyms,
     save_key,
 )
-from tmsensor.errors import KeyFileError, LengthMismatch
+from tmsensor.errors import EntropyUnavailable, KeyFileError, LengthMismatch
 
 from conftest import ip4, ip6
 
@@ -184,6 +186,20 @@ def test_generate_key_produces_distinct_keys():
     assert len(a.key_bytes) == 32
 
 
+def test_no_os_entropy_raises_and_genkey_writes_no_key(tmp_path, monkeypatch, capsys):
+    def urandom(n):
+        raise OSError("no entropy source")
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    with pytest.raises(EntropyUnavailable, match="no entropy source"):
+        generate_key()
+    out = tmp_path / "new.key"
+    assert cli.main(["genkey", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot read OS entropy" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_key_file_round_trip():
     key = generate_key()
     buf = io.BytesIO()
@@ -221,3 +237,11 @@ def test_damaged_key_files_are_rejected(fixed_key, mutate):
     save_key(fixed_key, buf)
     with pytest.raises(KeyFileError):
         load_key(io.BytesIO(mutate(buf.getvalue())))
+
+
+def test_unknown_key_file_version_is_named(fixed_key):
+    buf = io.BytesIO()
+    save_key(fixed_key, buf)
+    raw = buf.getvalue()
+    with pytest.raises(KeyFileError, match="unknown key file version 2$"):
+        load_key(io.BytesIO(raw[:4] + b"\x02" + raw[5:]))

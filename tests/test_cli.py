@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, outputs, watch mode."""
 
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from tmsensor import cli
 from tmsensor.analytics import analyze_many
-from tmsensor.anon import load_key, save_key
+from tmsensor.anon import generate_key, load_key, save_key
 from tmsensor.errors import ConfigError, JournalError
 from tmsensor.matrix import TrafficMatrix
 from tmsensor.synth import SynthSpec, synthesize
@@ -687,7 +688,8 @@ def rendered_as_before(files, form) -> str:
             for block, m in enumerate(iter_tmf(f)):
                 origins.append((path, block))
                 matrices.append(m)
-    reports, merged = analyze_many(matrices)
+    reports = []
+    merged = analyze_many(matrices, reports.append)
     out = io.StringIO()
     if form == "json":
         doc = {
@@ -932,6 +934,26 @@ def test_readme_sample_config_parses_as_written(tmp_path):
     for name in ("window_size", "quiescence_secs", "poll_interval_secs",
                  "delete_after_convert", "prefix"):
         assert getattr(cfg, name) == getattr(defaults, name)
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    with open("sensor.key", "wb") as f:
+        save_key(generate_key(), f)
+    with open("demo.pcap", "wb") as f:
+        synthesize(SynthSpec(host_count=40, packet_count=3000, seed=9), f)
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert len(namespace["reports"]) == len(namespace["matrices"]) >= 1
+    assert namespace["merged"].valid_packets == namespace["stats"].valid_ip_packets
+    expression, comment = blocks[1].rstrip().splitlines()[-1].split("  # ")
+    arrays = eval(expression, namespace)
+    assert [a.tolist() for a in arrays] == list(ast.literal_eval(comment))
 
 
 def test_config_missing_required_keys(tmp_path):

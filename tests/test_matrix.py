@@ -3,6 +3,7 @@
 import io
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from tmsensor.matrix import (
     TrafficMatrix,
     build_windows,
     merge,
-    merge_list,
 )
 from tmsensor.pcap import READ_CHUNK, PacketBatch, parse_pcap
 
@@ -463,7 +463,7 @@ def test_window_size_below_one_rejected(fixed_key):
 def test_merge_with_empty_is_identity(fixed_key):
     pairs = [((10, 0, 0, 1), (10, 0, 0, 2))] * 3
     (m,) = build_windows(stream(pairs, ts_start=50), fixed_key, 1 << 10)
-    for combined in (merge(m, empty_like(m)), merge(empty_like(m), m)):
+    for combined in (merge([m, empty_like(m)]), merge([empty_like(m), m])):
         assert combined.entries == m.entries
         assert combined.packet_count == m.packet_count
         assert (combined.start_time_us, combined.end_time_us) == (50, 52)
@@ -472,7 +472,7 @@ def test_merge_with_empty_is_identity(fixed_key):
 def test_merge_self_doubles_everything(fixed_key):
     pairs = [((10, 0, 0, 1), (10, 0, 0, 2))] * 3 + [((10, 0, 0, 2), (10, 0, 0, 1))]
     (m,) = build_windows(stream(pairs), fixed_key, 1 << 10)
-    doubled = merge(m, m)
+    doubled = merge([m, m])
     assert doubled.packet_count == 2 * m.packet_count
     assert doubled.entries == {cell: 2 * n for cell, n in m.entries.items()}
     assert doubled.window_size == m.window_size
@@ -482,14 +482,14 @@ def test_merge_rejects_different_keys():
     a = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x01" * 8, {})
     b = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x02" * 8, {})
     with pytest.raises(KeyMismatch):
-        merge(a, b)
+        merge([a, b])
 
 
 def test_merge_rejects_different_window_sizes():
     a = TrafficMatrix.from_entries(1024, 0, 0, 0, b"\x01" * 8, {})
     b = TrafficMatrix.from_entries(2048, 0, 0, 0, b"\x01" * 8, {})
     with pytest.raises(WindowSizeMismatch):
-        merge(a, b)
+        merge([a, b])
 
 
 entries_strategy = st.dictionaries(
@@ -511,22 +511,22 @@ def matrix_from(entries, start=1000):
 @given(entries_strategy, entries_strategy, st.integers(0, 1 << 30))
 def test_merge_commutes(e1, e2, start):
     a, b = matrix_from(e1), matrix_from(e2, start)
-    assert merge(a, b) == merge(b, a)
+    assert merge([a, b]) == merge([b, a])
 
 
 @settings(max_examples=100, deadline=None)
 @given(entries_strategy, entries_strategy, entries_strategy)
 def test_merge_associates(e1, e2, e3):
     a, b, c = matrix_from(e1), matrix_from(e2, 77), matrix_from(e3, 123456)
-    assert merge(merge(a, b), c) == merge(a, merge(b, c))
+    assert merge([merge([a, b]), c]) == merge([a, merge([b, c])])
 
 
 @settings(max_examples=100, deadline=None)
 @given(entries_strategy, entries_strategy, entries_strategy)
 def test_merge_n_ary_equals_pairwise_fold(e1, e2, e3):
     a, b, c = matrix_from(e1), matrix_from(e2, 77), matrix_from(e3, 123456)
-    assert merge(a, b, c) == merge(merge(a, b), c)
-    assert merge(a) == a
+    assert merge([a, b, c]) == merge([merge([a, b]), c])
+    assert merge([a]) == a
 
 
 @pytest.mark.parametrize(
@@ -539,14 +539,14 @@ def test_merge_n_ary_equals_pairwise_fold(e1, e2, e3):
 def test_merge_checks_every_argument(third, error):
     a, b = matrix_from({(1, 2): 3}), matrix_from({(2, 1): 1})
     with pytest.raises(error):
-        merge(a, b, third)
+        merge([a, b, third])
 
 
 @settings(max_examples=100, deadline=None)
 @given(entries_strategy, entries_strategy)
 def test_merge_conserves_mass_and_validates(e1, e2):
     a, b = matrix_from(e1), matrix_from(e2)
-    combined = merge(a, b)
+    combined = merge([a, b])
     combined.validate()
     assert combined.packet_count == a.packet_count + b.packet_count
     assert sum(combined.entries.values()) == combined.packet_count
@@ -601,22 +601,30 @@ def test_merge_rejects_packet_count_past_64_bits():
     m = TrafficMatrix.from_entries(8, 1 << 63, 1, 2, b"\x01" * 8, {(1, 2): 1 << 63})
     m.validate()
     with pytest.raises(InvariantViolation, match="64 bits"):
-        merge(m, m)
+        merge([m, m])
     quarter = TrafficMatrix.from_entries(8, 1 << 62, 1, 2, b"\x01" * 8, {(1, 2): 1 << 62})
-    merged = merge(quarter, quarter, quarter)
+    merged = merge([quarter, quarter, quarter])
     merged.validate()
     assert merged.entries == {(1, 2): 3 << 62}
     with pytest.raises(InvariantViolation, match="64 bits"):
-        merge(merged, quarter)
+        merge([merged, quarter])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(entries_strategy, min_size=1, max_size=5))
-def test_merge_list_empties_its_list_and_equals_merge(entries):
+def test_merge_empties_its_list_and_sums_the_cells(entries):
     ms = [matrix_from(e, 1000 + i) for i, e in enumerate(entries)]
     copies = [matrix_from(e, 1000 + i) for i, e in enumerate(entries)]
+    cells = Counter()
+    for e in entries:
+        cells.update(e)
+    timed = [m for m in ms if m.packet_count]
+    expected = TrafficMatrix.from_entries(
+        512, sum(m.packet_count for m in ms),
+        min((m.start_time_us for m in timed), default=0),
+        max((m.end_time_us for m in timed), default=0), b"\x09" * 8, cells)
     consumed = list(ms)
-    assert merge_list(consumed) == merge(*ms)
+    assert merge(consumed) == expected
     assert consumed == []
     assert ms == copies  # the inputs themselves are not changed
 
@@ -633,11 +641,11 @@ def test_merge_list_leaves_its_list_whole_on_a_mismatch(bad, error, at):
     ms.insert(at, bad)
     given_list = list(ms)
     with pytest.raises(error):
-        merge_list(ms)
+        merge(ms)
     assert len(ms) == 3 and all(m is g for m, g in zip(ms, given_list))
 
 
-def test_merge_list_frees_each_input_before_it_sorts(monkeypatch):
+def test_merge_frees_each_input_before_it_sorts(monkeypatch):
     ms = [matrix_from({(i, j): 1 + i + j for j in range(5)}) for i in range(4)]
     refs = [weakref.ref(m) for m in ms]
     alive_at_sort = []
@@ -648,7 +656,7 @@ def test_merge_list_frees_each_input_before_it_sorts(monkeypatch):
         return real_argsort(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", argsort)
-    merged = merge_list(ms)
+    merged = merge(ms)
     assert alive_at_sort == [0]
     assert merged.packet_count == sum(1 + i + j for i in range(4) for j in range(5))
 

@@ -32,6 +32,8 @@ from conftest import (
     sll_frame,
 )
 
+pytestmark = pytest.mark.usefixtures("bounded_parse")
+
 
 def parse_all(data: bytes):
     batches, stats = parse_pcap(io.BytesIO(data))

@@ -36,6 +36,8 @@ from conftest import (
     records_of,
 )
 
+pytestmark = pytest.mark.usefixtures("bounded_parse")
+
 ETHERNET, RAW_IP, LINUX_SLL = 1, 101, 113
 
 

@@ -469,7 +469,7 @@ def test_write_and_merge_give_one_message_per_mismatch(other, error):
     with pytest.raises(error) as written:
         write_bytes([first, other])
     with pytest.raises(error) as merged:
-        merge(first, other)
+        merge([first, other])
     assert type(written.value) is type(merged.value) is error
     assert str(written.value) == str(merged.value)
     if error is KeyMismatch:

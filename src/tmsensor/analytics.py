@@ -71,7 +71,11 @@ def _per_host(ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     starts = np.flatnonzero(first)
     # uint64 sums are exact, unlike bincount's float weights
     packets = np.add.reduceat(counts, starts)
-    return packets, np.diff(starts, append=len(ids))
+    degree = np.empty_like(starts)
+    degree[:-1] = starts[1:]
+    degree[-1:] = len(ids)  # a slice, so that no hosts give no degrees
+    degree -= starts
+    return packets, degree
 
 
 def _histogram(degree: np.ndarray) -> dict[int, int]:

@@ -244,8 +244,9 @@ class _Memo:
         for version, dtype in self._DTYPES.items():
             sel = versions == version
             if sel.any():
-                keys = addrs[sel, :dtype.itemsize].view(dtype).ravel()
-                distinct, inverse = np.unique(keys, return_inverse=True)
+                # [i] is addrs[i, :dtype.itemsize] as one key
+                keys = np.ndarray((2 * n,), dtype, addrs, 0, (16,))[sel]
+                distinct, inverse = _distinct(keys)
                 slots[sel] = self._lookup(version, distinct)[inverse]
         return slots[:n], slots[n:]
 
@@ -292,6 +293,32 @@ class _Memo:
             self.runs[version] = (keys[keep], renumber[slots[keep]])
         self.ids = self.ids[kept]
         self.size = self.kept = len(kept)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for the memo's ``>u4`` (IPv4)
+    or ``V16`` (IPv6) keys: the sorted distinct keys and each key's index
+    among them.
+
+    A 4-byte key and its position share one ``uint64``, so one ``np.sort``,
+    which numpy 2 vectorizes where ``np.unique``'s argsort is not, finds
+    both. A 16-byte key cannot carry its position in a 64-bit sort key, so
+    it goes to ``np.unique``."""
+    if keys.dtype.itemsize != 4:
+        return np.unique(keys, return_inverse=True)
+    # A batch holds far fewer than 2**32 addresses, so a position fits in
+    # the low half.
+    packed = keys.astype(np.uint64)
+    packed <<= 32
+    packed |= np.arange(len(keys), dtype=np.uint64)
+    packed.sort()
+    at = (packed & 0xFFFFFFFF).astype(np.intp)  # the positions, in key order
+    packed >>= 32  # the keys, sorted
+    first = np.ones(len(keys), bool)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    inverse = np.empty(len(keys), np.intp)
+    inverse[at] = np.cumsum(first) - 1
+    return packed[np.flatnonzero(first)].astype(keys.dtype), inverse
 
 
 def _close(parts, ids):

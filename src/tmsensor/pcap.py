@@ -82,10 +82,12 @@ BATCH_BYTES = 1024 * 1024
 # cap are drained, not kept, so a corrupt incl_len cannot inflate memory use.
 MAX_RECORD_BUFFER = 64 * 1024
 
-# Zero bytes written after the data in the buffer: a 16-byte read at any
-# record or address start stays in the buffer, and so do the reads after a
-# tag scan, which stops at most 2 bytes past its record's end.
-_PAD = bytes(48)
+# Room kept in the buffer after a batch's data, whatever bytes it holds: a
+# 16-byte read at any record or address start stays in the buffer, and so do
+# the reads after a tag scan, which stops at most 2 bytes past its record's
+# end. No result depends on those bytes: only reads of records that end up
+# unframed, and an IPv4 row's unspecified bytes past its address, reach them.
+_PAD_LEN = 48
 
 # The buffer's room for data: a carried record start, shorter than a record
 # that would be drained, then the reads of one batch.
@@ -176,7 +178,7 @@ def _iter_batches(stream, stats, byte_order, nanos, linktype):
     incl_len_at = struct.Struct(byte_order + "I").unpack_from
     # Not zero-filled, so pages that no read reaches stay out of the
     # resident set: a dense capture touches little more than one read.
-    buf = memoryview(np.empty(_BUFFER_LEN + len(_PAD), np.uint8))
+    buf = memoryview(np.empty(_BUFFER_LEN + _PAD_LEN, np.uint8))
     kept = 0  # bytes at the front of buf: the start of a record cut by the last batch's end
     while True:
         size = kept
@@ -208,7 +210,6 @@ def _iter_batches(stream, stats, byte_order, nanos, linktype):
                 record_at(off)
                 off = size  # the next record is read in after the bytes in hand
         if starts:
-            buf[size : size + len(_PAD)] = _PAD
             yield _parse_records(buf, size, starts, stats, byte_order, nanos, linktype)
         if done:
             return
@@ -218,7 +219,7 @@ def _iter_batches(stream, stats, byte_order, nanos, linktype):
 
 def _parse_records(data, size, starts, stats, byte_order, nanos, linktype):
     """The batch of the records whose headers start at ``starts`` in the
-    first ``size`` bytes of ``data``, which ``_PAD`` follows.
+    first ``size`` bytes of ``data``, which ``_PAD_LEN`` bytes of room follow.
 
     Every record is classified at once. It is framed if its EtherType, past
     any 802.1Q tags (for raw IP: its version byte), lies in its first
@@ -226,10 +227,11 @@ def _parse_records(data, size, starts, stats, byte_order, nanos, linktype):
     holds a whole IP header of the version it names. All else is malformed.
     Every column of the batch is a copy, never a view into ``data``.
     """
-    buf = np.frombuffer(data, np.uint8, size + len(_PAD))
-    rows16 = np.ndarray((len(buf) - 15, 16), np.uint8, buf, 0, (1, 1))  # [i] is buf[i:i + 16]
+    buf = np.frombuffer(data, np.uint8, size + _PAD_LEN)
+    rows16 = np.ndarray((len(buf) - 15,), "V16", buf, 0, (1,))  # [i] is buf[i:i + 16]
     at = np.fromiter(starts, np.int64, len(starts))
-    ts_sec, ts_frac, incl_len, orig_len = rows16[at].view(byte_order + "u4").T
+    headers = rows16[at].view(byte_order + "u4").reshape(len(at), 4)
+    ts_sec, ts_frac, incl_len, orig_len = headers.T
     frac_us = ts_frac // 1000 if nanos else ts_frac
     timestamp_us = ts_sec.astype(np.int64) * 1_000_000 + frac_us
 
@@ -265,8 +267,9 @@ def _parse_records(data, size, starts, stats, byte_order, nanos, linktype):
     stats.valid_ip_packets += len(keep)
     version, is_v4 = version[keep].astype(np.uint8), is_v4[keep]
     src_at = ip[keep] + np.where(is_v4, 12, 8)
-    return PacketBatch(timestamp_us[keep], version, rows16[src_at],
-                       rows16[src_at + np.where(is_v4, 4, 16)])
+    src = rows16[src_at].view(np.uint8).reshape(len(src_at), 16)
+    dst = rows16[src_at + np.where(is_v4, 4, 16)].view(np.uint8).reshape(len(src_at), 16)
+    return PacketBatch(timestamp_us[keep], version, src, dst)
 
 
 def _words(buf, at):

@@ -218,7 +218,10 @@ def _decode_entries(raw: bytes, entry_count: int) -> tuple[np.ndarray, ...]:
     data = np.frombuffer(raw, np.uint8)
     ends = np.flatnonzero(data < 0x80)  # the last byte of each varint
     # Continuation bytes before each end; the last run is a varint cut at the end.
-    runs = np.diff(ends, prepend=-1, append=len(data)) - 1
+    runs = np.empty(len(ends) + 1, np.intp)
+    runs[:-1] = ends
+    runs[-1] = len(data)
+    runs[1:] -= ends + 1
     # The first bad varint decides: 10 continuation bytes, or a 10th byte past bit 63.
     over = np.append((runs[:-1] == 9) & (data[ends] > 1), False)
     bad = np.flatnonzero((runs >= 10) | over)

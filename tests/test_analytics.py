@@ -151,6 +151,17 @@ def test_histogram_counts_the_hosts_of_each_degree(degrees):
     assert all(type(k) is int and type(v) is int for k, v in histogram.items())
 
 
+@pytest.mark.parametrize("ids, counts, packets, degree", [
+    ([], [], [], []),
+    ([5], [3], [3], [1]),
+    ([1, 1, 2, 5, 5, 5], [1, 2, 3, 4, 5, 6], [3, 3, 15], [2, 1, 3]),
+])
+def test_per_host_sums_packets_and_counts_peers(ids, counts, packets, degree):
+    got_packets, got_degree = analytics._per_host(np.array(ids, np.uint64),
+                                                  np.array(counts, np.uint64))
+    assert got_packets.tolist() == packets and got_degree.tolist() == degree
+
+
 def test_histogram_of_no_hosts_is_empty():
     assert _histogram(np.array([], np.int64)) == {}
 

@@ -408,6 +408,40 @@ def test_folds_sum_slots_and_only_a_closing_window_is_lexsorted(fixed_key, monke
     assert calls["slot_order"] >= 2 * len(windows)
 
 
+def assert_like_unique(keys: np.ndarray) -> None:
+    distinct, inverse = matrix._distinct(keys)
+    expected, expected_inverse = np.unique(keys, return_inverse=True)
+    assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
+    assert inverse.dtype == expected_inverse.dtype
+    assert np.array_equal(inverse, expected_inverse)
+
+
+U32_EDGES = [0, 1, 2, 1 << 31, (1 << 32) - 1]
+
+
+@pytest.mark.parametrize("values", [[], [7], [(1 << 32) - 1] * 5, U32_EDGES[::-1] * 3,
+                                    [0, (1 << 32) - 1] * 200])
+def test_distinct_ipv4_keys_are_np_unique_on_edge_cases(values):
+    assert_like_unique(np.array(values, np.uint64).astype(">u4"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(U32_EDGES), st.integers(0, 9),
+                          st.integers(0, (1 << 32) - 1)), max_size=400))
+def test_distinct_ipv4_keys_are_np_unique(values):
+    assert_like_unique(np.array(values, np.uint64).astype(">u4"))
+
+
+V16_EDGES = [bytes(16), b"\xff" * 16, bytes(15) + b"\x01", b"\x01" + bytes(15)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(V16_EDGES), st.binary(min_size=16, max_size=16)),
+                max_size=200))
+def test_distinct_ipv6_keys_are_np_unique(values):
+    assert_like_unique(np.frombuffer(b"".join(values), "V16"))
+
+
 def mixed_capture(packets: int, seed: int) -> bytes:
     """Ethernet capture of IPv4 and IPv6 packets between a few dozen hosts."""
     rng = random.Random(seed)

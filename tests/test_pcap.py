@@ -1,11 +1,13 @@
 """Capture parser: magics, link types, dissection, truncation semantics."""
 
 import collections
+import copy
 import io
 import itertools
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from tmsensor.errors import BadMagic, PcapngUnsupported, UnsupportedLinkType
@@ -321,6 +323,29 @@ def test_records_are_lazy_but_stats_live():
     assert stats.total_records >= 1  # stats advance one batch at a time
     list(batches)
     assert stats.total_records == 3
+
+
+def test_kept_batches_are_copies_that_later_reads_leave_alone():
+    rng = random.Random(6)
+    out = bytearray(pcap_header())
+    for i in range(8000):
+        if rng.random() < 0.3:
+            frame = eth_frame(ipv6_packet(f"fd00::{rng.randrange(1 << 16):x}",
+                                          f"fd00::{rng.randrange(1 << 16):x}"), ethertype=0x86DD)
+        else:
+            frame = eth_frame(ipv4_packet(f"10.0.{rng.randrange(256)}.{rng.randrange(256)}",
+                                          f"10.1.{rng.randrange(256)}.{rng.randrange(256)}",
+                                          b"x" * rng.randrange(300)))
+        out += pcap_record(frame, ts_sec=i, ts_frac=rng.randrange(1_000_000))
+    kept = [(b, copy.deepcopy(b)) for b in parse_pcap(io.BytesIO(bytes(out)))[0]]
+    assert len(kept) >= 3
+    for b, at_yield in kept:
+        n = len(b.timestamp_us)
+        assert (b.timestamp_us.dtype, b.ip_version.dtype) == (np.int64, np.uint8)
+        assert b.src_ip.dtype == b.dst_ip.dtype == np.uint8
+        assert b.ip_version.shape == (n,) and b.src_ip.shape == b.dst_ip.shape == (n, 16)
+        for column, copied in zip(b, at_yield):
+            assert np.array_equal(column, copied)
 
 
 def test_struct_layout_matches_wireshark_reference_decode():

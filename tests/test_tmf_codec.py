@@ -149,6 +149,13 @@ def test_damaged_payloads_fail_like_the_reference(entries, damage, count_skew, d
             == outcome(reference_decode, raw, entry_count))
 
 
+@pytest.mark.parametrize("entry_count", [0, 1])
+@pytest.mark.parametrize("raw", [b"", b"\x80", b"\x80" * 10, b"\x00"])
+def test_payloads_with_few_or_no_varint_ends_decode_like_the_reference(raw, entry_count):
+    assert (outcome(tmf._decode_entries, raw, entry_count)
+            == outcome(reference_decode, raw, entry_count))
+
+
 def test_row_wrapping_past_64_bits_fails_like_the_reference():
     # Rows U64_MAX then U64_MAX + 1: the second delta carries past 2**64, so
     # the row decodes to 0, and the block fails its order check.

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EntropyUnavailable, KeyFileError, LengthMismatch
+from .errors import EntropyUnavailable, KeyFileError
 from .streams import read_full
 
 KEY_LEN = 32
@@ -80,7 +80,7 @@ def pseudonyms(key: AnonKey, ip_version: int, addrs: np.ndarray) -> np.ndarray:
     if width is None:
         raise ValueError(f"ip_version must be 4 or 6, got {ip_version}")
     if addrs.dtype.itemsize != width:
-        raise LengthMismatch(
+        raise ValueError(
             f"IPv{ip_version} address must be {width} bytes, got {addrs.dtype.itemsize}"
         )
     inner_pad, outer_pad = key._hmac_pads

@@ -199,7 +199,6 @@ def convert_file(
     out_dir: str,
     prefix: str = "tm",
     *,
-    delete_after: bool = False,
     log=None,
 ) -> dict:
     """Convert one capture into one matrix file; returns a summary dict.
@@ -212,8 +211,8 @@ def convert_file(
     visible under its final name. A name already holding the same bytes is
     reused, so a capture converted again after a crash gets no second
     output. The directory is fsynced last, so the output is durable before
-    the caller journals it. A ``prefix`` that could name a file outside
-    ``out_dir`` raises ValueError before the capture is opened.
+    the caller journals or deletes the capture. A ``prefix`` that could name
+    a file outside ``out_dir`` raises ValueError before the capture is opened.
     """
     if not _valid_prefix(prefix):
         raise ValueError(_PREFIX_RULE)
@@ -253,9 +252,6 @@ def convert_file(
             f"converted the complete records",
             file=log,
         )
-
-    if delete_after:
-        os.unlink(pcap_path)
 
     return {
         "pcap_path": pcap_path,
@@ -301,13 +297,17 @@ def cmd_genkey(args) -> int:
         fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     except FileExistsError:
         raise FileExistsError(f"{args.out} already exists; refusing to overwrite")
-    with os.fdopen(fd, "wb") as f:
-        save_key(key, f)
-        f.flush()
-        os.fsync(f.fileno())
-    _fsync_dir(os.path.dirname(args.out) or os.curdir)  # durable before key_id is shown
-    print(f"key_file={args.out}")
-    print(f"key_id={key.key_id.hex()}")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            save_key(key, f)
+            f.flush()
+            os.fsync(f.fileno())
+        _fsync_dir(os.path.dirname(args.out) or os.curdir)  # durable before key_id is shown
+        print(f"key_file={args.out}")
+        print(f"key_id={key.key_id.hex()}")
+    except BaseException:
+        os.unlink(args.out)  # a key whose key_id was never shown must not block a retry
+        raise
     return EXIT_OK
 
 
@@ -318,14 +318,9 @@ def cmd_convert(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     key = _load_key_file(key_path)
-    summary = convert_file(
-        key,
-        args.window_size,
-        args.pcap,
-        args.out_dir,
-        args.prefix,
-        delete_after=args.delete_after_convert,
-    )
+    summary = convert_file(key, args.window_size, args.pcap, args.out_dir, args.prefix)
+    if args.delete_after_convert:
+        os.unlink(args.pcap)  # its output is durable: convert_file fsynced it
     print(f"pcap={summary['pcap_path']}")
     print(f"pcap_bytes={summary['pcap_bytes']}")
     for name, value in asdict(summary["stats"]).items():
@@ -519,8 +514,10 @@ def watch_loop(
     captures to the same output names on every run. The journal in
     output_dir survives restarts; failures are logged, skipped, and retried
     only when the file changes or the daemon restarts. A name holding a line
-    break cannot be journaled, so it counts as a failure. Once ``stop_event``
-    is set, the loop returns before the next capture.
+    break cannot be journaled, so it counts as a failure. With
+    ``delete_after_convert``, a capture is deleted only once its journal line
+    is durable. Once ``stop_event`` is set, the loop returns before the next
+    capture.
     """
     if log is None:
         log = sys.stderr
@@ -542,7 +539,6 @@ def watch_loop(
                     path,
                     cfg.output_dir,
                     cfg.prefix,
-                    delete_after=cfg.delete_after_convert,
                     log=log,
                 )
                 append_journal(journal_file, summary["digest"], name)
@@ -559,6 +555,11 @@ def watch_loop(
                 f"{summary['tmf_path'] or '(empty capture, no output)'}",
                 file=log,
             )
+            if cfg.delete_after_convert:
+                try:  # only now: its journal line is durable
+                    os.unlink(path)
+                except OSError as exc:  # journaled, so it is never converted again
+                    print(f"[watch] {name}: delete failed: {exc}", file=log)
         if once or stop_event.wait(cfg.poll_interval_secs):
             return
 

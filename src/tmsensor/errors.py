@@ -21,16 +21,13 @@ class UnsupportedLinkType(SensorError):
 
 # --- anonymization ---
 
-class LengthMismatch(SensorError):
-    """IP address byte length does not match the declared IP version."""
-
-
 class EntropyUnavailable(SensorError):
     """The OS randomness source could not be read."""
 
 
 class KeyFileError(SensorError):
-    """Key file is missing, malformed, or has an unknown version."""
+    """Key file is malformed or has an unknown version. A missing key file
+    raises FileNotFoundError."""
 
 
 # --- traffic matrices ---

@@ -154,7 +154,8 @@ def parse_pcap(stream: BinaryIO) -> tuple[Iterator[PacketBatch], CaptureStats]:
 
 
 def _read_global_header(stream):
-    magic = read_full(stream, 4)
+    header = read_full(stream, GLOBAL_HEADER_LEN)
+    magic = header[:4]
     if magic == _PCAPNG_MAGIC:
         raise PcapngUnsupported(
             "pcapng input is not supported; convert to classic PCAP first"
@@ -162,13 +163,10 @@ def _read_global_header(stream):
     if len(magic) < 4 or magic not in _MAGIC_BYTES:
         raise BadMagic(f"not a PCAP file (magic {magic.hex() or 'empty'})")
     byte_order, nanos = _MAGIC_BYTES[magic]
-
-    rest = read_full(stream, GLOBAL_HEADER_LEN - 4)
-    if len(rest) < GLOBAL_HEADER_LEN - 4:
+    if len(header) < GLOBAL_HEADER_LEN:
         return None
-    _vmaj, _vmin, _zone, _sigfigs, _snaplen, linktype = struct.unpack(
-        byte_order + "HHiIII", rest
-    )
+    # The last field, after the version, time zone, sigfigs and snaplen.
+    (linktype,) = struct.unpack_from(byte_order + "I", header, 20)
     if linktype not in _SUPPORTED_LINKTYPES:
         raise UnsupportedLinkType(f"link type {linktype} is not supported")
     return byte_order, nanos, linktype

@@ -182,6 +182,11 @@ def random_matrix(
                                       entries)
 
 
+def cells(m: TrafficMatrix) -> dict:
+    """A matrix's cells as a {(row, col): count} dict, read from its arrays."""
+    return dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.counts.tolist()))
+
+
 @pytest.fixture
 def fixed_key() -> AnonKey:
     return AnonKey(bytes(range(32)))

@@ -140,17 +140,35 @@ def test_genkey_refuses_to_overwrite(tmp_path, capsys):
 
 def test_genkey_fsyncs_the_key_file_and_its_directory_before_printing(
         tmp_path, monkeypatch, capsys):
-    synced = []  # per fsync call: whether the fd is a directory, and what was printed
+    synced = []  # per fsync call: the file's size or "dir", and what was printed
     real_fsync = os.fsync
 
     def fsync(fd):
-        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), capsys.readouterr().out))
+        st = os.fstat(fd)
+        synced.append(("dir" if stat.S_ISDIR(st.st_mode) else st.st_size,
+                       capsys.readouterr().out))
         real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", fsync)
     assert cli.main(["genkey", "--out", str(tmp_path / "new.key")]) == 0
-    assert synced == [(False, ""), (True, "")]
+    assert synced == [(40, ""), ("dir", "")]  # the key's 40 bytes are written when synced
     assert "key_id=" in capsys.readouterr().out
+
+
+def test_genkey_that_fails_leaves_no_key_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "new.key"
+    real_fsync = os.fsync
+
+    def fsync_fails_once(fd):
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        raise OSError(errno.EIO, "injected I/O error")
+
+    monkeypatch.setattr(os, "fsync", fsync_fails_once)
+    assert cli.main(["genkey", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "key_id=" not in capsys.readouterr().out
+    assert cli.main(["genkey", "--out", str(out)]) == 0
+    assert out.stat().st_size == 40
 
 
 def test_genkey_round_trips_through_loader(tmp_path, capsys):
@@ -176,11 +194,13 @@ def test_convert_reports_stats_and_writes_tmf(tmp_path, key_file, small_pcap,
     assert printed["total_records"] == "5000"
     assert printed["truncated_tail"] == "false"
     assert printed["windows"] == "5"
+    assert printed["pcap_bytes"] == str(os.path.getsize(pcap_path))
     assert float(printed["compression_ratio"]) > 1
 
     hour = spec.start_time_us // 3_600_000_000
     expected_name = f"tm-{hour}-000.tmf"
     assert printed["tmf"] == str(out_dir / expected_name)
+    assert printed["tmf_bytes"] == str((out_dir / expected_name).stat().st_size)
     with open(out_dir / expected_name, "rb") as f:
         matrices = read_tmf(f)
     assert len(matrices) == 5
@@ -257,9 +277,9 @@ def test_convert_file_output_is_durable_before_it_returns(tmp_path, fixed_key,
     calls = []
     real_fsync, real_link, real_unlink = os.fsync, os.link, os.unlink
 
-    def fsync(fd):
-        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
-        calls.append(("fsync", kind))
+    def fsync(fd):  # a file's bytes are all written when it is fsynced
+        st = os.fstat(fd)
+        calls.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
         real_fsync(fd)
 
     def link(src, dst):
@@ -275,7 +295,7 @@ def test_convert_file_output_is_durable_before_it_returns(tmp_path, fixed_key,
     monkeypatch.setattr(os, "unlink", unlink)
     summary = cli.convert_file(fixed_key, 1024, pcap_path, str(out_dir))
     assert calls == [
-        ("fsync", "file"),
+        ("fsync", summary["tmf_bytes"]),
         ("link", os.path.basename(summary["tmf_path"])),
         ("unlink", ".part-"),
         ("fsync", "dir"),
@@ -336,6 +356,7 @@ def test_convert_without_any_key_is_usage_error(tmp_path, small_pcap, capsys,
     pcap_path, _, _ = small_pcap
     monkeypatch.delenv("TMSENSOR_KEY", raising=False)
     assert cli.main(["convert", pcap_path, "--out-dir", str(tmp_path)]) == 1
+    assert "no key file given" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["1000", "1025", "33554432", "0", "-8", "xyz"])
@@ -430,7 +451,7 @@ def test_convert_non_pcap_is_data_error(tmp_path, key_file, capsys):
                      "--out-dir", str(tmp_path)]) == 2
 
 
-def test_convert_header_only_pcap_writes_nothing(tmp_path, key_file, capsys):
+def test_convert_header_only_pcap_writes_nothing(tmp_path, key_file, fixed_key, capsys):
     empty = tmp_path / "empty.pcap"
     empty.write_bytes(pcap_header())
     out_dir = tmp_path / "out"
@@ -439,6 +460,8 @@ def test_convert_header_only_pcap_writes_nothing(tmp_path, key_file, capsys):
                      "--out-dir", str(out_dir)]) == 0
     assert "0 packets" in capsys.readouterr().out
     assert list(out_dir.iterdir()) == []
+    summary = cli.convert_file(fixed_key, 1024, str(empty), str(out_dir))
+    assert (summary["tmf_path"], summary["tmf_bytes"], summary["window_count"]) == (None, 0, 0)
 
 
 def test_convert_truncated_pcap_succeeds_with_warning(tmp_path, key_file, capsys):
@@ -1452,6 +1475,64 @@ def test_watch_journal_failure_is_a_failed_capture(watch_setup, fixed_key, old_m
         cli.watch_loop(cfg, fixed_key, _StopAfterPolls(2), log=log)
         log.seek(0)
         assert log.read().count("[watch] empty.pcap: conversion failed: ") == 1
+    assert (in_dir / "empty.pcap").exists()  # not journaled, so not deleted
+
+
+def test_watch_deletes_a_capture_only_after_its_journal_line(watch_setup, fixed_key,
+                                                              monkeypatch):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    capture = drop("a.pcap", seed=14)
+    cfg = cli.parse_config(cfg_path)
+    cfg.delete_after_convert = True
+    real_append = cli.append_journal
+
+    def append_fails_once(*args):
+        monkeypatch.setattr(cli, "append_journal", real_append)
+        raise OSError(errno.ENOSPC, "injected full disk")
+
+    monkeypatch.setattr(cli, "append_journal", append_fails_once)
+    log = io.StringIO()
+    cli.watch_loop(cfg, fixed_key, threading.Event(), once=True, log=log)
+    assert "[watch] a.pcap: conversion failed: " in log.getvalue()
+    assert capture.exists()
+    assert cli.load_journal(str(out_dir / "tmsensor.journal")) == {}
+    assert tmf_files(out_dir) == ["tm-0-000.tmf"]
+    first = (out_dir / "tm-0-000.tmf").read_bytes()
+
+    # The restart converts it again into the same output, then journals and
+    # deletes it.
+    cli.watch_loop(cfg, fixed_key, threading.Event(), once=True, log=log)
+    journal = (out_dir / "tmsensor.journal").read_text()
+    assert journal.count(" a.pcap\n") == 1 and len(journal.splitlines()) == 1
+    assert tmf_files(out_dir) == ["tm-0-000.tmf"]
+    assert (out_dir / "tm-0-000.tmf").read_bytes() == first
+    assert not capture.exists()
+
+
+def test_watch_a_failed_delete_is_logged_and_not_retried(watch_setup, fixed_key,
+                                                        monkeypatch):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    drop("a.pcap", seed=15)
+    cfg = cli.parse_config(cfg_path)
+    cfg.delete_after_convert = True
+    real_unlink = os.unlink
+    unlinked = []
+
+    def unlink_capture_fails(path, *args, **kwargs):
+        if os.path.basename(path) == "a.pcap":
+            unlinked.append(path)
+            raise PermissionError(errno.EACCES, "injected", path)
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", unlink_capture_fails)
+    log = io.StringIO()
+    cli.watch_loop(cfg, fixed_key, _StopAfterPolls(2), log=log)
+    assert log.getvalue().count("[watch] a.pcap: delete failed: ") == 1
+    assert "conversion failed" not in log.getvalue()
+    assert len(unlinked) == 1  # journaled, so the second poll skips it
+    assert list(cli.load_journal(str(out_dir / "tmsensor.journal"))) == ["a.pcap"]
+    assert (in_dir / "a.pcap").exists()
+    assert len(tmf_files(out_dir)) == 1
 
 
 def test_watch_journals_names_that_are_not_utf8(watch_setup, fixed_key):

@@ -24,6 +24,7 @@ from tmsensor.pcap import READ_CHUNK, PacketBatch, parse_pcap
 from conftest import (
     Packet,
     batch,
+    cells,
     eth_frame,
     ipv4_packet,
     ipv6_packet,
@@ -57,7 +58,7 @@ def test_single_cell_aggregation(fixed_key):
     (m,) = build_windows(stream(pairs), fixed_key, DEFAULT_WINDOW_SIZE)
     sid = anonymize_ip(fixed_key, 4, bytes((10, 0, 0, 1)))
     did = anonymize_ip(fixed_key, 4, bytes((10, 0, 0, 2)))
-    assert m.entries == {(sid, did): 5}
+    assert cells(m) == {(sid, did): 5}
     assert m.packet_count == 5
     assert m.window_size == DEFAULT_WINDOW_SIZE
     assert m.key_id == fixed_key.key_id
@@ -242,7 +243,7 @@ def test_a_window_is_summed_once_per_doubling_of_its_cells(fixed_key, monkeypatc
                      for i in range(b * 1000, (b + 1) * 1000))
                for b in range(64)]
     (m,) = build_windows(batches, fixed_key, 1 << 17)
-    assert len(m.entries) == m.packet_count == 64_000
+    assert len(cells(m)) == m.packet_count == 64_000
     # Batch k is folded in once the waiting packets outnumber the summed
     # cells: after batches 1, 3, 7, 15, 31 and 63; the close sums the rest.
     assert calls == [1, 3, 5, 9, 17, 33, 2]
@@ -384,7 +385,7 @@ def test_addresses_that_share_a_pseudonym_share_their_cells(fixed_key, monkeypat
         monkeypatch.setattr(matrix, "_ID_MEMO_LIMIT", limit)
         windows = list(build_windows(batches, fixed_key, 1024))
         assert windows == brute_force_windows(fixed_key, stream_packets, 1024, colliding_ip)
-        assert all(len(m.entries) <= 25 for m in windows)
+        assert all(len(cells(m)) <= 25 for m in windows)
 
 
 def test_folds_sum_slots_and_only_a_closing_window_is_lexsorted(fixed_key, monkeypatch):
@@ -498,7 +499,7 @@ def test_merge_with_empty_is_identity(fixed_key):
     pairs = [((10, 0, 0, 1), (10, 0, 0, 2))] * 3
     (m,) = build_windows(stream(pairs, ts_start=50), fixed_key, 1 << 10)
     for combined in (merge([m, empty_like(m)]), merge([empty_like(m), m])):
-        assert combined.entries == m.entries
+        assert cells(combined) == cells(m)
         assert combined.packet_count == m.packet_count
         assert (combined.start_time_us, combined.end_time_us) == (50, 52)
 
@@ -508,7 +509,7 @@ def test_merge_self_doubles_everything(fixed_key):
     (m,) = build_windows(stream(pairs), fixed_key, 1 << 10)
     doubled = merge([m, m])
     assert doubled.packet_count == 2 * m.packet_count
-    assert doubled.entries == {cell: 2 * n for cell, n in m.entries.items()}
+    assert cells(doubled) == {cell: 2 * n for cell, n in cells(m).items()}
     assert doubled.window_size == m.window_size
 
 
@@ -583,7 +584,7 @@ def test_merge_conserves_mass_and_validates(e1, e2):
     combined = merge([a, b])
     combined.validate()
     assert combined.packet_count == a.packet_count + b.packet_count
-    assert sum(combined.entries.values()) == combined.packet_count
+    assert sum(cells(combined).values()) == combined.packet_count
 
 
 @pytest.mark.parametrize(
@@ -639,7 +640,7 @@ def test_merge_rejects_packet_count_past_64_bits():
     quarter = TrafficMatrix.from_entries(8, 1 << 62, 1, 2, b"\x01" * 8, {(1, 2): 1 << 62})
     merged = merge([quarter, quarter, quarter])
     merged.validate()
-    assert merged.entries == {(1, 2): 3 << 62}
+    assert cells(merged) == {(1, 2): 3 << 62}
     with pytest.raises(InvariantViolation, match="64 bits"):
         merge([merged, quarter])
 
@@ -649,14 +650,14 @@ def test_merge_rejects_packet_count_past_64_bits():
 def test_merge_empties_its_list_and_sums_the_cells(entries):
     ms = [matrix_from(e, 1000 + i) for i, e in enumerate(entries)]
     copies = [matrix_from(e, 1000 + i) for i, e in enumerate(entries)]
-    cells = Counter()
+    summed = Counter()
     for e in entries:
-        cells.update(e)
+        summed.update(e)
     timed = [m for m in ms if m.packet_count]
     expected = TrafficMatrix.from_entries(
         512, sum(m.packet_count for m in ms),
         min((m.start_time_us for m in timed), default=0),
-        max((m.end_time_us for m in timed), default=0), b"\x09" * 8, cells)
+        max((m.end_time_us for m in timed), default=0), b"\x09" * 8, summed)
     consumed = list(ms)
     assert merge(consumed) == expected
     assert consumed == []
@@ -703,5 +704,5 @@ def test_builder_output_validates_and_is_sorted_on_demand(fixed_key):
     ]
     for m in build_windows(stream(pairs), fixed_key, 128):
         m.validate()
-        cells = [cell for cell, _ in sorted(m.entries.items())]
-        assert cells == sorted(cells)
+        in_order = list(cells(m))
+        assert in_order == sorted(in_order)

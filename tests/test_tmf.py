@@ -30,7 +30,7 @@ from tmsensor.tmf import (
     write_tmf,
 )
 
-from conftest import random_matrix
+from conftest import cells, random_matrix
 
 KEY_ID = b"\x0b" * 8
 
@@ -106,7 +106,7 @@ def test_multibyte_varints_decode_with_reference_decoder():
     payload = write_bytes([m], compress=False)[HEADER_LEN:]
     assert leb128_reference_decode(payload) == [big, 3, 9]
     (decoded,) = read_bytes(write_bytes([m]))
-    assert decoded.entries == {(big, 3): 9}
+    assert cells(decoded) == {(big, 3): 9}
 
 
 def test_round_trip_three_random_matrices():
@@ -146,7 +146,7 @@ def test_blocks_skippable_by_payload_len_alone():
     data = write_bytes(ms)
     headers = list(iter_block_headers(io.BytesIO(data)))
     assert [h.packet_count for h in headers] == [m.packet_count for m in ms]
-    assert [h.entry_count for h in headers] == [len(m.entries) for m in ms]
+    assert [h.entry_count for h in headers] == [len(cells(m)) for m in ms]
     assert sum(HEADER_LEN + h.payload_len for h in headers) == len(data)
 
 
@@ -309,7 +309,7 @@ def test_uncompressed_entry_count_bound_is_exact():
             entry_count, len(payload),
         )
         if ok:
-            assert read_bytes(header + payload)[0].entries == {(0, 5): 1}
+            assert cells(read_bytes(header + payload)[0]) == {(0, 5): 1}
         else:
             with pytest.raises(CorruptPayload, match="cannot fit"):
                 read_bytes(header + payload)

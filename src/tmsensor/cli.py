@@ -18,6 +18,7 @@ import filecmp
 import hashlib
 import itertools
 import os
+import queue
 import re
 import shutil
 import signal
@@ -171,25 +172,59 @@ def parse_config(path: str) -> SensorConfig:
 
 # --- conversion core (shared by convert and watch) ---
 
+# The most chunks that wait for the digest thread; the reader blocks beyond.
+_DIGEST_DEPTH = 2
+
+
 class _HashingReader:
-    """Pass-through reader that digests and counts every byte it hands out."""
+    """Pass-through reader that counts every byte it hands out and digests
+    a copy of it on a thread of its own: hashlib releases the interpreter
+    lock while it hashes, so the digest runs beside the parse. At most
+    ``_DIGEST_DEPTH`` plus two chunks are held at once. If ``update``
+    raises, the thread keeps the exception and drains the queue, so no
+    hand-off blocks. Leaving the ``with`` block ends the thread and raises
+    what ``update`` raised; only then is the digest complete.
+    """
 
     def __init__(self, raw, digest):
         self._raw = raw
-        self._digest = digest
         self.bytes_read = 0
+        self._chunks = queue.Queue(_DIGEST_DEPTH)
+        self._error = None
+        # A daemon: an interrupt that cuts the hand-off of the sentinel must
+        # not leave the process waiting on the thread at exit.
+        self._thread = threading.Thread(target=self._digest_all, args=(digest,),
+                                        daemon=True)
+        self._thread.start()
 
-    def read(self, n=-1):
+    def _digest_all(self, digest):
+        while (chunk := self._chunks.get()) is not None:
+            if self._error is None:
+                try:
+                    digest.update(chunk)
+                except BaseException as exc:  # raised again by __exit__
+                    self._error = exc
+
+    def read(self, n):
         data = self._raw.read(n)
-        self._digest.update(data)
+        self._chunks.put(data)
         self.bytes_read += len(data)
         return data
 
     def readinto(self, b):
         n = self._raw.readinto(b)
-        self._digest.update(b[:n])
+        self._chunks.put(bytes(b[:n]))  # the parser reuses b
         self.bytes_read += n
         return n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._chunks.put(None)
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
 
 
 def convert_file(
@@ -221,8 +256,7 @@ def convert_file(
     digest = hashlib.sha256()
     out_path = None
     tmf_bytes = 0
-    with open(pcap_path, "rb") as f:
-        reader = _HashingReader(f, digest)
+    with open(pcap_path, "rb") as f, _HashingReader(f, digest) as reader:
         batches, stats = parse_pcap(reader)
         windows = build_windows(batches, key, window_size)
         first = next(windows, None)

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import types
 import weakref
 from pathlib import Path
 
@@ -29,8 +30,9 @@ from hypothesis import strategies as st
 from tmsensor import cli
 from tmsensor.analytics import analyze_many
 from tmsensor.anon import generate_key, load_key, save_key
-from tmsensor.errors import ConfigError, JournalError
+from tmsensor.errors import BadMagic, ConfigError, JournalError
 from tmsensor.matrix import TrafficMatrix
+from tmsensor.pcap import MAX_RECORD_BUFFER, READ_CHUNK
 from tmsensor.synth import SynthSpec, synthesize
 from tmsensor.tmf import MAGIC, iter_tmf, read_tmf, write_tmf
 
@@ -42,6 +44,7 @@ from conftest import (
     pcap_header,
     pcap_record,
     run_python,
+    time_bound,
 )
 
 pytestmark = pytest.mark.usefixtures("bounded_watch")
@@ -437,6 +440,204 @@ def test_convert_reports_the_bytes_it_read_from_a_growing_capture(tmp_path, fixe
     assert summary["pcap_bytes"] == len(read)
     assert summary["digest"] == hashlib.sha256(read).hexdigest()
     assert summary["stats"].total_records == 5001
+
+
+# --- the digest thread ---
+
+# A conversion of a few megabytes takes well under a second.
+DIGEST_BOUND_SECS = 15
+
+
+def capture_of(payloads) -> bytes:
+    """A capture of one Ethernet/IPv4 record per payload length."""
+    return pcap_header() + b"".join(
+        pcap_record(eth_frame(ipv4_packet("10.8.0.1", "10.8.0.2", b"p" * n)), ts_sec=i)
+        for i, n in enumerate(payloads))
+
+
+def capture_of_size(size: int) -> bytes:
+    """A capture of exactly ``size`` bytes, of records of about 1 KiB."""
+    frame = 16 + 14 + 20  # the bytes of a record that are not its payload
+    payloads = [1000] * ((size - 24) // (frame + 1000) - 1)
+    payloads.append(size - len(capture_of(payloads)) - frame)
+    return capture_of(payloads)
+
+
+class _DigestStub:
+    """A SHA-256 whose ``update`` runs ``before_update`` first."""
+
+    def __init__(self, before_update):
+        self._real = hashlib.sha256()
+        self._before_update = before_update
+
+    def update(self, data):
+        self._before_update()
+        self._real.update(data)
+
+    def hexdigest(self):
+        return self._real.hexdigest()
+
+
+def stub_digest(monkeypatch, before_update):
+    monkeypatch.setattr(cli, "hashlib", types.SimpleNamespace(
+        sha256=lambda: _DigestStub(before_update)))
+
+
+EDGE_CAPTURES = {
+    "READ_CHUNK - 1": lambda: capture_of_size(READ_CHUNK - 1),
+    "READ_CHUNK": lambda: capture_of_size(READ_CHUNK),
+    "READ_CHUNK + 1": lambda: capture_of_size(READ_CHUNK + 1),
+    "a record past 64 KiB": lambda: capture_of([100] * 300 + [3 * MAX_RECORD_BUFFER]
+                                               + [100] * 300),
+    "truncated tail": lambda: capture_of([100] * 300)[:-7],
+    "header only": pcap_header,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CAPTURES)
+def test_convert_digests_exactly_the_bytes_it_parsed(tmp_path, fixed_key, name):
+    data = EDGE_CAPTURES[name]()
+    capture = tmp_path / "edge.pcap"
+    capture.write_bytes(data)
+    with time_bound(DIGEST_BOUND_SECS, name):
+        summary = cli.convert_file(fixed_key, 1024, str(capture), str(tmp_path))
+    assert summary["pcap_bytes"] == len(data)
+    assert summary["digest"] == hashlib.sha256(data).hexdigest()
+
+
+class _FailingRaw:
+    """A capture file whose third ``readinto`` raises, as a disk may."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.reads = 0
+
+    def read(self, n=-1):
+        return self._raw.read(n)
+
+    def readinto(self, b):
+        self.reads += 1
+        if self.reads == 3:
+            raise OSError(errno.EIO, "injected read error")
+        return self._raw.readinto(b)
+
+
+@pytest.mark.parametrize("fault", ["none", "bad magic", "read error", "write error"])
+def test_no_digest_thread_outlives_convert_file(tmp_path, fixed_key, small_pcap,
+                                                monkeypatch, fault):
+    pcap_path, _, _ = small_pcap
+    assert os.path.getsize(pcap_path) > 3 * READ_CHUNK
+    expected = None
+    if fault == "bad magic":
+        pcap_path = str(tmp_path / "bogus.pcap")
+        Path(pcap_path).write_bytes(b"this is not a capture, but long enough")
+        expected = BadMagic
+    elif fault == "read error":
+        reader = cli._HashingReader
+        monkeypatch.setattr(cli, "_HashingReader",
+                            lambda raw, digest: reader(_FailingRaw(raw), digest))
+        expected = OSError
+    elif fault == "write error":
+        def write_fails(matrices, out):
+            next(iter(matrices))
+            raise OSError(errno.ENOSPC, "injected full disk")
+        monkeypatch.setattr(cli, "write_tmf", write_fails)
+        expected = OSError
+    raises = pytest.raises(expected) if expected else contextlib.nullcontext()
+    before = threading.active_count()
+    with time_bound(DIGEST_BOUND_SECS, fault), raises:
+        cli.convert_file(fixed_key, 1024, pcap_path, str(tmp_path))
+    assert threading.active_count() == before
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".part-")]
+
+
+def test_a_digest_failure_fails_the_capture(watch_setup, fixed_key, tmp_path, monkeypatch):
+    in_dir, out_dir, cfg_path, drop = watch_setup
+    capture = drop("a.pcap", seed=16)
+    failures = []
+
+    def fail_once():
+        if not failures:
+            failures.append(1)
+            raise OSError(errno.EIO, "injected digest error")
+
+    stub_digest(monkeypatch, fail_once)
+    before = threading.active_count()
+    with time_bound(DIGEST_BOUND_SECS, "convert_file"):
+        with pytest.raises(OSError) as raised:
+            cli.convert_file(fixed_key, 1024, str(capture), str(tmp_path))
+    assert raised.value.errno == errno.EIO
+    assert threading.active_count() == before
+
+    failures.clear()
+    log = io.StringIO()
+    cli.watch_loop(cli.parse_config(cfg_path), fixed_key, threading.Event(),
+                   once=True, log=log)
+    assert "[watch] a.pcap: conversion failed: " in log.getvalue()
+    assert "injected digest error" in log.getvalue()
+    assert not (out_dir / cli.JOURNAL_NAME).exists()
+    assert threading.active_count() == before
+
+
+class _CountingStream:
+    """The parser's stream, counting the reads the parser makes."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.reads = 0
+
+    def read(self, n=-1):
+        self.reads += 1
+        return self._stream.read(n)
+
+    def readinto(self, b):
+        self.reads += 1
+        return self._stream.readinto(b)
+
+
+def test_the_digest_queue_bounds_the_reads_ahead_of_the_hash(tmp_path, fixed_key,
+                                                             monkeypatch):
+    data = capture_of([1000] * 4000)
+    assert len(data) > 6 * READ_CHUNK
+    capture = tmp_path / "long.pcap"
+    capture.write_bytes(data)
+    entered, release = threading.Event(), threading.Event()
+
+    def held():
+        entered.set()
+        assert release.wait(DIGEST_BOUND_SECS)
+
+    stub_digest(monkeypatch, held)
+    streams = []
+    parse = cli.parse_pcap
+
+    def counted_parse(stream):
+        streams.append(_CountingStream(stream))
+        return parse(streams[-1])
+
+    monkeypatch.setattr(cli, "parse_pcap", counted_parse)
+    result = {}
+
+    def convert():
+        result["summary"] = cli.convert_file(fixed_key, 1024, str(capture), str(tmp_path))
+
+    worker = threading.Thread(target=convert)
+    with time_bound(DIGEST_BOUND_SECS, "held digest"):
+        worker.start()
+        try:
+            assert entered.wait(DIGEST_BOUND_SECS)
+            # The first chunk is in update; the parser goes on until a
+            # hand-off finds the queue full.
+            worker.join(0.5)
+            assert worker.is_alive()
+            # README: a queue two deep, so at most four chunks held at once.
+            assert streams[0].reads <= 4
+        finally:
+            release.set()
+        worker.join(DIGEST_BOUND_SECS)
+    assert not worker.is_alive()
+    assert result["summary"]["digest"] == hashlib.sha256(data).hexdigest()
+    assert result["summary"]["pcap_bytes"] == len(data)
 
 
 def test_convert_missing_pcap_is_environment_error(tmp_path, key_file, capsys):

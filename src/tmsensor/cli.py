@@ -461,11 +461,11 @@ def cmd_synth(args) -> int:
 
 # --- watch daemon ---
 
-_JOURNAL_LINE = re.compile(r"([0-9a-fA-F]{64}) (.+)")
+_JOURNAL_LINE = re.compile(r"[0-9a-fA-F]{64} (.+)")
 
 
-def load_journal(path: str) -> dict[str, str]:
-    """Map of processed capture name -> content digest.
+def load_journal(path: str) -> set[str]:
+    """Names of the processed captures; each line's digest is checked, not kept.
 
     Each line is a 64-hex-digit digest, one space, and the rest of the line
     as the name, so names keep leading and trailing spaces. Names that are
@@ -473,11 +473,11 @@ def load_journal(path: str) -> dict[str, str]:
     returns them. Bytes after the last line break are an append torn by a
     crash, not an entry, and are skipped.
     """
-    entries: dict[str, str] = {}
+    names: set[str] = set()
     try:
         f = open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
     except FileNotFoundError:
-        return entries
+        return names
     with f:
         for lineno, line in enumerate(f, 1):
             if not line.endswith("\n"):
@@ -488,15 +488,14 @@ def load_journal(path: str) -> dict[str, str]:
             match = _JOURNAL_LINE.fullmatch(line)
             if match is None:
                 raise JournalError(f"{path}:{lineno}: unparseable journal line")
-            entries[match[2]] = match[1]
-    return entries
+            names.add(match[1])
+    return names
 
 
 def append_journal(path: str, digest: str, name: str) -> None:
     """Append one entry under an exclusive lock. A torn last line, left by an
     append that failed or crashed part-way, is cut back to the last line
     break first, so the entry starts a line of its own."""
-    created = not os.path.exists(path)
     with open(path, "a+b") as f:
         fcntl.flock(f, fcntl.LOCK_EX)  # another daemon's append may be half-written
         end = f.seek(0, os.SEEK_END)
@@ -506,8 +505,7 @@ def append_journal(path: str, digest: str, name: str) -> None:
         f.write(f"{digest} {name}\n".encode("utf-8", "surrogateescape"))
         f.flush()
         os.fsync(f.fileno())
-    if created:  # the new journal's directory entry must be durable too
-        _fsync_dir(os.path.dirname(path) or os.curdir)
+    _fsync_dir(os.path.dirname(path) or os.curdir)  # every call: a crash may have skipped it
 
 
 def _scan_candidates(cfg: SensorConfig, journal, failed):
@@ -583,7 +581,7 @@ def watch_loop(
                 print(f"[watch] {name}: conversion failed: {exc}", file=log)
                 failed.add((name, mtime_ns))
                 continue
-            journal[name] = summary["digest"]
+            journal.add(name)
             print(
                 f"[watch] converted {name} -> "
                 f"{summary['tmf_path'] or '(empty capture, no output)'}",

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -1220,6 +1221,12 @@ def tmf_files(out_dir):
     return sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmf"))
 
 
+def journaled(path):
+    """The names on a journal's lines, in file order; every line is a whole entry."""
+    with open(path, "rb") as f:
+        return [os.fsdecode(re.fullmatch(rb"[0-9a-f]{64} (.*)\n", line)[1]) for line in f]
+
+
 def test_watch_once_converts_quiescent_files(watch_setup, capsys):
     in_dir, out_dir, cfg, drop = watch_setup
     drop("a.pcap", seed=1)
@@ -1262,7 +1269,7 @@ def test_watch_skips_a_capture_gone_before_its_stat(watch_setup, capsys):
     (in_dir / "a-gone.pcap").symlink_to(in_dir / "nowhere")  # listed, but stat fails
     drop("b.pcap", seed=1)
     assert cli.main(["watch", "--config", cfg, "--once"]) == 0
-    assert list(cli.load_journal(str(out_dir / "tmsensor.journal"))) == ["b.pcap"]
+    assert journaled(out_dir / "tmsensor.journal") == ["b.pcap"]
     assert "a-gone" not in capsys.readouterr().err
 
 
@@ -1319,7 +1326,7 @@ def test_watch_recovers_from_a_torn_last_journal_line(watch_setup, capsys, tail)
     assert cli.main(["watch", "--config", cfg, "--once"]) == 0
     assert tmf_files(out_dir) == outputs  # b.pcap was converted into its output again
     assert journal.read_bytes() == whole
-    assert list(cli.load_journal(str(journal))) == ["a.pcap", "b.pcap"]
+    assert journaled(journal) == ["a.pcap", "b.pcap"]
 
 
 @pytest.mark.parametrize("cut", [1, 30, 66], ids=["one-byte", "inside-digest", "after-digest"])
@@ -1342,13 +1349,11 @@ def test_an_append_after_a_failed_one_cuts_its_torn_tail(watch_setup, fixed_key,
         m.setattr(cli, "append_journal", disk_full_inside_b)
         cli.watch_loop(cli.parse_config(cfg), fixed_key, threading.Event(), once=True,
                        log=io.StringIO())
-    assert list(cli.load_journal(str(journal))) == ["a.pcap", "c.pcap"]
+    assert journaled(journal) == ["a.pcap", "c.pcap"]
     outputs = tmf_files(out_dir)
     assert cli.main(["watch", "--config", cfg, "--once"]) == 0
     assert tmf_files(out_dir) == outputs  # b.pcap was converted into its output again
-    lines = journal.read_bytes().splitlines(keepends=True)
-    assert [re.fullmatch(rb"[0-9a-f]{64} (.*)\n", line)[1] for line in lines] == [
-        b"a.pcap", b"c.pcap", b"b.pcap"]
+    assert journaled(journal) == ["a.pcap", "c.pcap", "b.pcap"]
 
 
 def test_append_journal_holds_an_exclusive_lock_while_it_fsyncs(tmp_path, monkeypatch):
@@ -1400,7 +1405,7 @@ def test_append_to_a_whole_journal_neither_reads_it_back_nor_cuts_it(tmp_path,
             f.write(b"0" * 30)  # a torn tail: the spy sees the cut
         cli.append_journal(path, "ef" * 32, "three.pcap")
         assert calls == ["read", "truncate"]
-    assert list(cli.load_journal(path)) == ["one.pcap", "two.pcap", "three.pcap"]
+    assert journaled(path) == ["one.pcap", "two.pcap", "three.pcap"]
 
 
 def test_concurrent_appends_keep_every_entry_whole(tmp_path):
@@ -1454,7 +1459,7 @@ def test_watch_stops_between_captures(watch_setup, fixed_key, tmp_path):
 
     cli.watch_loop(cfg, fixed_key, stop, log=StopOnFirstConversion())
     journal = out_dir / "tmsensor.journal"
-    assert list(cli.load_journal(str(journal))) == ["cap0.pcap"]
+    assert journaled(journal) == ["cap0.pcap"]
 
     cli.watch_loop(cfg, fixed_key, threading.Event(), once=True, log=io.StringIO())
     whole = tmp_path / "whole"  # the same spool in one uninterrupted pass
@@ -1584,8 +1589,7 @@ def test_watch_keeps_leading_space_in_journaled_names(watch_setup, capsys):
     for _ in range(2):
         assert cli.main(["watch", "--config", cfg, "--once"]) == 0
     assert len(tmf_files(out_dir)) == 1
-    journal = cli.load_journal(str(out_dir / "tmsensor.journal"))
-    assert list(journal) == [" lead.pcap"]
+    assert cli.load_journal(str(out_dir / "tmsensor.journal")) == {" lead.pcap"}
 
 
 class _StopAfterPolls(threading.Event):
@@ -1696,7 +1700,7 @@ def test_watch_deletes_a_capture_only_after_its_journal_line(watch_setup, fixed_
     cli.watch_loop(cfg, fixed_key, threading.Event(), once=True, log=log)
     assert "[watch] a.pcap: conversion failed: " in log.getvalue()
     assert capture.exists()
-    assert cli.load_journal(str(out_dir / "tmsensor.journal")) == {}
+    assert cli.load_journal(str(out_dir / "tmsensor.journal")) == set()
     assert tmf_files(out_dir) == ["tm-0-000.tmf"]
     first = (out_dir / "tm-0-000.tmf").read_bytes()
 
@@ -1731,7 +1735,7 @@ def test_watch_a_failed_delete_is_logged_and_not_retried(watch_setup, fixed_key,
     assert log.getvalue().count("[watch] a.pcap: delete failed: ") == 1
     assert "conversion failed" not in log.getvalue()
     assert len(unlinked) == 1  # journaled, so the second poll skips it
-    assert list(cli.load_journal(str(out_dir / "tmsensor.journal"))) == ["a.pcap"]
+    assert journaled(out_dir / "tmsensor.journal") == ["a.pcap"]
     assert (in_dir / "a.pcap").exists()
     assert len(tmf_files(out_dir)) == 1
 
@@ -1759,13 +1763,27 @@ journal_names = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(journal_names,
                        st.binary(min_size=32, max_size=32).map(bytes.hex),
-                       max_size=8))
-def test_journal_round_trips_every_name(entries):
+                       max_size=8),
+       st.binary(min_size=1).filter(lambda b: b"\n" not in b),
+       st.data())
+def test_journal_round_trips_every_name(entries, torn, data):
+    # A torn tail, as a crashed append leaves it, before one of the appends
+    # (which cuts it) or after the last (which load_journal skips).
+    tear = data.draw(st.integers(0, len(entries)), label="tear")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tmsensor.journal")
-        for name, digest in entries.items():
-            cli.append_journal(path, digest, name)
-        assert cli.load_journal(path) == entries
+        for i, (name, digest) in enumerate([*entries.items(), (None, None)]):
+            if i == tear:
+                with open(path, "ab") as f:
+                    f.write(torn)
+            if name is not None:
+                cli.append_journal(path, digest, name)
+        assert cli.load_journal(path) == set(entries)
+        with open(path, "rb") as f:
+            *lines, tail = f.read().split(b"\n")
+    assert [os.fsdecode(line).split(" ", 1) for line in lines] == [
+        [digest, name] for name, digest in entries.items()]
+    assert tail == (torn if tear == len(entries) else b"")
 
 
 def test_creating_the_journal_fsyncs_its_directory(tmp_path, monkeypatch):
@@ -1783,7 +1801,46 @@ def test_creating_the_journal_fsyncs_its_directory(tmp_path, monkeypatch):
     synced.clear()
     cli.append_journal(path, "cd" * 32, "two.pcap")
     cli.append_journal(path, "ef" * 32, "three.pcap")
-    assert synced == [False, False]
+    assert synced == [False, True, False, True]  # every append: the file, then its directory
+
+
+def test_the_first_append_to_a_journal_left_by_a_crash_fsyncs_its_directory(
+        tmp_path, monkeypatch):
+    # A daemon created the journal and fsynced its line, then crashed before the
+    # directory fsync: a power loss may still drop the journal's directory entry.
+    path = tmp_path / "tmsensor.journal"
+    path.write_text(f"{'ab' * 32} one.pcap\n")
+    synced = []  # per fsync call: the inode of the fd
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    cli.append_journal(str(path), "cd" * 32, "two.pcap")
+    assert synced == [path.stat().st_ino, tmp_path.stat().st_ino]
+
+
+def test_load_journal_holds_under_176_bytes_per_entry(tmp_path):
+    """The traced bytes that load_journal's result holds for 10 000 entries
+    with 35-character names. Holding the names alone measured 136 bytes per
+    entry; holding each entry's 64-hex digest as well measured 218. The bound
+    sits 40 bytes above the first and 42 below the second."""
+    entries = 10_000
+    names = {f"capture-{i:08d}-20261022T1200.pcap" for i in range(entries)}
+    path = tmp_path / "tmsensor.journal"
+    path.write_text("".join(f"{i:064x} {name}\n" for i, name in enumerate(names)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        journal = cli.load_journal(str(path))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert journal == names
+    per_entry = held / entries
+    assert per_entry < 176, f"{per_entry:.1f} bytes per journal entry"
 
 
 def test_a_malformed_journal_line_is_named_by_its_number(tmp_path):

@@ -239,15 +239,13 @@ def convert_file(
     """Convert one capture into one matrix file; returns a summary dict.
 
     Truncated captures convert normally (with a warning on `log`); an empty
-    capture produces no output file. Windows stream from the parser into a
-    temporary file, which is fsynced and then hard-linked to the first free
-    <prefix>-<hour>-<seq>.tmf name: the link fails rather than replace an
-    existing file, so no finished output is ever overwritten or partially
-    visible under its final name. A name already holding the same bytes is
-    reused, so a capture converted again after a crash gets no second
-    output. The directory is fsynced last, so the output is durable before
-    the caller journals or deletes the capture. A ``prefix`` that could name
-    a file outside ``out_dir`` raises ValueError before the capture is opened.
+    capture produces no output file. Windows stream from the parser into
+    ``_publish``, which links them to the first <prefix>-<hour>-<seq>.tmf
+    name that is free or already holds the same bytes, so a capture
+    converted again after a crash gets no second output. The directory is
+    fsynced last, so the output is durable before the caller journals or
+    deletes the capture. A ``prefix`` that could name a file outside
+    ``out_dir`` raises ValueError before the capture is opened.
     """
     if not _valid_prefix(prefix):
         raise ValueError(_PREFIX_RULE)
@@ -262,22 +260,10 @@ def convert_file(
         first = next(windows, None)
         if first is not None:
             hour = first.start_time_us // _US_PER_HOUR
-            tmp_path, tmp_fd = _new_temp(out_dir, ".tmf")
-            try:
-                with os.fdopen(tmp_fd, "wb") as out:
-                    tmf_bytes = write_tmf(itertools.chain([first], windows), out)
-                    out.flush()
-                    os.fsync(out.fileno())
-                for seq in itertools.count():
-                    out_path = os.path.join(out_dir, tmf_filename(prefix, hour, seq))
-                    try:
-                        os.link(tmp_path, out_path)
-                        break
-                    except FileExistsError:
-                        if filecmp.cmp(tmp_path, out_path, shallow=False):
-                            break  # this output already exists, e.g. before a crash
-            finally:
-                os.unlink(tmp_path)
+            out_path, tmf_bytes = _publish(
+                out_dir, lambda out: write_tmf(itertools.chain([first], windows), out),
+                (os.path.join(out_dir, tmf_filename(prefix, hour, seq))
+                 for seq in itertools.count()))
             _fsync_dir(out_dir)
 
     if stats.truncated_tail:
@@ -298,16 +284,43 @@ def convert_file(
     }
 
 
-def _new_temp(directory: str, suffix: str) -> tuple[str, int]:
-    """Create a new file under a random name in ``directory``; returns its path
-    and a descriptor open for writing. A new file, so the kernel applies the
-    umask to its mode."""
+def _publish(directory: str, write, names, mode: int = 0o666) -> tuple[str, object]:
+    """Write a new file through ``write(f)`` under a ``.part-`` temp name in
+    ``directory``, fsync it, and hard-link it to the first of ``names`` that
+    is free or already holds the same bytes; returns that name and what
+    ``write`` returned. The link fails rather than replace a file, so no name
+    is ever overwritten or holds a partial file. The temp is always unlinked,
+    but a crash may leave it. Every name holding other bytes raises
+    FileExistsError. The caller fsyncs ``directory`` to make the link durable.
+    """
+    tmp_path, tmp_fd = _new_temp(directory, mode)
+    try:
+        with os.fdopen(tmp_fd, "wb") as f:
+            written = write(f)
+            f.flush()
+            os.fsync(f.fileno())
+        for name in names:
+            try:
+                os.link(tmp_path, name)
+                return name, written
+            except FileExistsError:
+                if os.path.isfile(name) and filecmp.cmp(tmp_path, name, shallow=False):
+                    return name, written  # already published, e.g. before a crash
+        raise FileExistsError(f"{name} already exists; refusing to overwrite")
+    finally:
+        os.unlink(tmp_path)
+
+
+def _new_temp(directory: str, mode: int = 0o666) -> tuple[str, int]:
+    """Create a new file under a random ``.part-`` name in ``directory``;
+    returns its path and a descriptor open for writing. A new file, so the
+    kernel applies the umask to ``mode``."""
     while True:
-        path = os.path.join(directory, f".part-{os.urandom(8).hex()}{suffix}")
+        path = os.path.join(directory, f".part-{os.urandom(8).hex()}")
         try:
-            return path, os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            return path, os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
         except FileExistsError:
-            continue
+            pass  # taken: draw another name
 
 
 def _fsync_dir(path: str) -> None:
@@ -327,16 +340,10 @@ def _load_key_file(path: str) -> AnonKey:
 
 def cmd_genkey(args) -> int:
     key = generate_key()
+    directory = os.path.dirname(args.out) or os.curdir
+    _publish(directory, lambda f: save_key(key, f), [args.out], 0o600)
     try:
-        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    except FileExistsError:
-        raise FileExistsError(f"{args.out} already exists; refusing to overwrite")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            save_key(key, f)
-            f.flush()
-            os.fsync(f.fileno())
-        _fsync_dir(os.path.dirname(args.out) or os.curdir)  # durable before key_id is shown
+        _fsync_dir(directory)  # durable before key_id is shown
         print(f"key_file={args.out}")
         print(f"key_id={key.key_id.hex()}")
     except BaseException:
@@ -441,7 +448,7 @@ def cmd_synth(args) -> int:
     truth_path = args.ground_truth or args.out + ".truth"
     # Written under a temporary name, so a refused spec leaves an existing
     # --out as it was.
-    tmp_path, tmp_fd = _new_temp(os.path.dirname(args.out), ".pcap")
+    tmp_path, tmp_fd = _new_temp(os.path.dirname(args.out))
     try:
         with os.fdopen(tmp_fd, "wb") as f:
             truth = synthesize(spec, f)

@@ -90,6 +90,12 @@ def test_unknown_subcommand_is_usage_error():
     assert cli.main(["frobnicate"]) == 1
 
 
+def test_main_gives_back_the_error_handler_of_stdout(tmp_path, capsys):
+    errors = sys.stdout.errors
+    assert cli.main(["genkey", "--out", str(tmp_path / "k")]) == 0
+    assert sys.stdout.errors == errors != "surrogateescape"
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc_info:
         cli.build_parser().parse_args(["--help"])
@@ -134,11 +140,28 @@ def test_genkey_writes_40_byte_key_file(tmp_path, capsys):
     assert printed["key_id"] == key.key_id.hex()
 
 
-def test_genkey_refuses_to_overwrite(tmp_path, capsys):
+@pytest.mark.parametrize("target", ["file", "directory", "dangling-symlink"])
+def test_genkey_refuses_to_overwrite(tmp_path, capsys, target):
     out = tmp_path / "exists.key"
-    out.write_bytes(b"precious")
+    if target == "file":
+        out.write_bytes(b"precious")
+    elif target == "directory":
+        out.mkdir()
+        (out / "inside").write_bytes(b"precious")
+    else:
+        out.symlink_to(tmp_path / "missing")
+
+    def state():
+        if out.is_symlink():
+            return "link", os.readlink(out)
+        if out.is_dir():
+            return "dir", sorted(os.listdir(out)), (out / "inside").read_bytes()
+        return "file", out.read_bytes()
+
+    before = state()
     assert cli.main(["genkey", "--out", str(out)]) == 3
-    assert out.read_bytes() == b"precious"
+    assert state() == before
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".part-")]
     assert "refusing" in capsys.readouterr().err
 
 
@@ -173,6 +196,22 @@ def test_genkey_that_fails_leaves_no_key_file(tmp_path, monkeypatch, capsys):
     assert "key_id=" not in capsys.readouterr().out
     assert cli.main(["genkey", "--out", str(out)]) == 0
     assert out.stat().st_size == 40
+
+
+def test_genkey_whose_directory_fsync_fails_removes_its_key_file(tmp_path, monkeypatch,
+                                                                capsys):
+    out = tmp_path / "new.key"
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "injected I/O error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert cli.main(["genkey", "--out", str(out)]) == 3
+    assert os.listdir(tmp_path) == []  # the key was linked, then removed
+    assert "key_id=" not in capsys.readouterr().out
 
 
 def test_genkey_round_trips_through_loader(tmp_path, capsys):
@@ -311,7 +350,7 @@ def test_convert_output_mode_comes_from_the_umask_left_unchanged(
     """os.umask is process-wide: setting it, even briefly, would change the
     mode of files other threads create meanwhile."""
     pcap_path, _, _ = small_pcap
-    umask = 0o027
+    umask = 0o026  # masks no execute bit, so a mode with one shows
     saved = os.umask(umask)
     try:
         def umask_called(mask):
@@ -756,6 +795,37 @@ def test_convert_memory_does_not_grow_with_the_capture(tmp_path):
         assert tag_cost < 1.5, f"{times}x: tags cost {tag_cost:.1f} MB"
 
 
+def test_convert_memory_for_a_window_of_distinct_cells(tmp_path):
+    """README's figure for the open window: a raw-IP capture whose 65 536
+    packets are each a new cell between two new addresses, converted at
+    window 65 536, peaks a bounded amount above the import's peak."""
+    n = 1 << 16
+    records = np.zeros(n, [("ts", "<u4", 2), ("lens", "<u4", 2), ("ip", "V12"),
+                           ("src", ">u4"), ("dst", ">u4")])
+    records["ts"][:, 0] = np.arange(n)
+    records["lens"] = 20
+    records["ip"] = np.frombuffer(ipv4_packet("0.0.0.0", "0.0.0.0")[:12], "V12")[0]
+    records["src"] = np.arange(0, 2 * n, 2) + (10 << 24)
+    records["dst"] = records["src"] + 1
+    capture, out_dir = tmp_path / "distinct.pcap", tmp_path / "out"
+    capture.write_bytes(pcap_header(linktype=101) + records.tobytes())
+    out_dir.mkdir()
+    code = ("import sys\nfrom tmsensor.anon import AnonKey\n"
+            "from tmsensor.cli import convert_file\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(l.split()[1] for l in status if l.startswith('VmHWM:')))\n"
+            f"convert_file(AnonKey(bytes(32)), {n}, sys.argv[1], sys.argv[2])\n")
+    out, peak_mb = run_python(code, str(capture), str(out_dir))
+    floor_mb = int(out) / 1024
+    (tmf,) = out_dir.iterdir()
+    with open(tmf, "rb") as f:
+        (m,) = read_tmf(f)
+    assert len(m.counts) == n
+    # Measured: 14.5-15.8 MB above a 33.2 MB floor, about 240 B per
+    # packet; the bound leaves about half again for allocator noise.
+    assert peak_mb - floor_mb < 24, f"peak {peak_mb:.1f} MB, floor {floor_mb:.1f} MB"
+
+
 # --- analyze ---
 
 @pytest.fixture
@@ -1119,6 +1189,13 @@ def test_config_rejects_bad_lines(tmp_path, line):
         cli.parse_config(path)
 
 
+def test_config_error_names_the_line_and_the_missing_equals_sign(tmp_path):
+    # key_path alone is a known name, so only the missing `=` refuses it.
+    path = write_config(tmp_path, "# a comment\nkey_path\n")
+    with pytest.raises(ConfigError, match=r":2: expected `key = value`$"):
+        cli.parse_config(path)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -1136,6 +1213,13 @@ def test_config_validation_bounds(tmp_path, key_file, overrides):
     )
     with pytest.raises(ConfigError):
         cli.parse_config(path).validate()
+
+
+def test_config_accepts_the_shortest_intervals(tmp_path, key_file):
+    path = write_config(tmp_path, f"key_path = {key_file}\ninput_dir = /in\n"
+                                  "output_dir = /out\nquiescence_secs = 1\n"
+                                  "poll_interval_secs = 1\n")
+    cli.parse_config(path).validate()
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -1185,6 +1269,19 @@ def test_config_missing_required_keys(tmp_path):
     path = write_config(tmp_path, "window_size = 2048\n")
     with pytest.raises(ConfigError):
         cli.parse_config(path).validate()
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("key_path", "key_path is required"),
+    ("input_dir", "input_dir and output_dir are required"),
+    ("output_dir", "input_dir and output_dir are required"),
+])
+def test_config_names_each_missing_required_key(missing, message):
+    cfg = cli.SensorConfig(key_path="k", input_dir="in", output_dir="out")
+    cfg.validate()
+    setattr(cfg, missing, "")
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
 
 
 # --- watch mode ---
@@ -1913,6 +2010,174 @@ def test_watch_key_path_from_environment(tmp_path, key_file, old_mtime,
     assert len(tmf_files(out_dir)) == 1
 
 
+# --- crash points ---
+
+# Run in a fresh interpreter. Each scenario runs once cleanly, counting its
+# steps: os.open with O_CREAT, os.fsync, os.link and os.unlink. Then, for the
+# point just before and just after each step, a forked process runs the
+# scenario and os._exits there, a crash that the page cache survives; the
+# scenario's recovery then runs in the interpreter itself, and the outputs
+# and journal it leaves must be the clean run's. `.part-` leftovers are
+# allowed. argv: the directory of the inputs (key, a.pcap, b.pcap) and a
+# work directory. Prints, per scenario, its crash points and failures.
+_CRASH_POINTS = r'''
+import contextlib, io, json, os, shutil, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # no pool thread: each fork is of one thread
+from tmsensor import cli
+from tmsensor.anon import load_key
+
+inputs, work = sys.argv[1:3]
+CRASHED = 17
+steps = crash_at = None  # set while a scenario runs; point 2k is just before step k
+
+
+def step(real, counts=lambda *args: True):
+    def wrapper(*args, **kwargs):
+        global steps
+        if steps is None or not counts(*args):
+            return real(*args, **kwargs)
+        if crash_at == 2 * steps:
+            os._exit(CRASHED)
+        result = real(*args, **kwargs)
+        if crash_at == 2 * steps + 1:
+            os._exit(CRASHED)
+        steps += 1
+        return result
+    return wrapper
+
+
+os.open = step(os.open, lambda path, flags, *rest: flags & os.O_CREAT)
+os.fsync, os.link, os.unlink = step(os.fsync), step(os.link), step(os.unlink)
+
+
+def run(argv, crash=None):
+    # Runs a command quietly; returns its exit code and the steps it made.
+    global steps, crash_at
+    steps, crash_at = 0, crash
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv), steps
+    finally:
+        steps = crash_at = None
+
+
+def fresh(name):
+    d = os.path.join(work, name)
+    shutil.rmtree(d, ignore_errors=True)
+    os.makedirs(os.path.join(d, "in"))
+    os.mkdir(os.path.join(d, "out"))
+    for capture in ("a.pcap", "b.pcap"):  # copy2 keeps their old mtimes
+        shutil.copy2(os.path.join(inputs, capture), os.path.join(d, "in"))
+    with open(os.path.join(d, "watch.conf"), "w") as f:
+        f.write(f"key_path = {inputs}/key\ninput_dir = {d}/in\noutput_dir = {d}/out\n"
+                "window_size = 1024\nquiescence_secs = 3600\n"
+                f"delete_after_convert = {name.endswith('delete')}\n")
+    return d
+
+
+def result(d):
+    # The final .tmf names with their bytes, and the journal's lines.
+    out = os.path.join(d, "out")
+    tmfs = {}
+    for n in os.listdir(out):
+        if n.endswith(".tmf") and not n.startswith(".part-"):
+            with open(os.path.join(out, n), "rb") as f:
+                tmfs[n] = f.read()
+    try:
+        with open(os.path.join(out, cli.JOURNAL_NAME), "rb") as f:
+            return tmfs, f.read().splitlines()
+    except FileNotFoundError:
+        return tmfs, []
+
+
+def watch_argv(d):
+    return ["watch", "--config", f"{d}/watch.conf", "--once"]
+
+
+def recover_watch(d, argv):
+    if run(argv)[0] != 0:
+        return "the rerun failed"
+    named = {line.split(b" ", 1)[1] for line in result(d)[1]}
+    if {b"a.pcap", b"b.pcap"} - named - set(os.listdir(f"{d}/in".encode())):
+        return "a capture is neither in input_dir nor journaled"
+
+
+def convert_argv(d):
+    return (["convert", f"{d}/in/a.pcap", "--key", f"{inputs}/key", "--out-dir",
+             f"{d}/out", "--window-size", "1024"]
+            + ["--delete-after-convert"] * d.endswith("delete"))
+
+
+def recover_convert(d, argv):
+    # A capture that is gone gets no rerun: its output must be whole already.
+    if os.path.exists(argv[1]) and run(argv)[0] != 0:
+        return "the rerun failed"
+
+
+def genkey_argv(d):
+    return ["genkey", "--out", f"{d}/out/new.key"]
+
+
+def recover_genkey(d, argv):
+    if not os.path.lexists(argv[-1]) and run(argv)[0] != 0:
+        return "the rerun failed"
+    try:
+        with open(argv[-1], "rb") as f:
+            load_key(f)
+    except Exception as exc:
+        return f"--out holds no key: {exc!r}"
+
+
+SCENARIOS = {
+    "watch": (watch_argv, recover_watch),
+    "watch-delete": (watch_argv, recover_watch),
+    "convert": (convert_argv, recover_convert),
+    "convert-delete": (convert_argv, recover_convert),
+    "genkey": (genkey_argv, recover_genkey),
+}
+report = {}
+for name, (argv, recover) in SCENARIOS.items():
+    d = fresh(name)
+    code, count = run(argv(d))
+    clean = result(d)
+    failures = [] if code == 0 else ["the clean run failed"]
+    for point in range(2 * count):
+        d = fresh(name)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                run(argv(d), point)
+            finally:
+                os._exit(0)
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != CRASHED:
+            problem = "not reached"
+        else:
+            problem = recover(d, argv(d))
+            if problem is None and result(d) != clean:
+                problem = "the outputs or the journal differ from the clean run's"
+        if problem:
+            failures.append(f"point {point}: {problem}")
+    report[name] = {"points": 2 * count, "failures": failures}
+print(json.dumps(report))
+'''
+
+
+def test_every_crash_point_recovers(tmp_path, fixed_key, old_mtime):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    with open(inputs / "key", "wb") as f:
+        save_key(fixed_key, f)
+    for name, seed in (("a.pcap", 1), ("b.pcap", 2)):
+        with open(inputs / name, "wb") as f:
+            synthesize(SynthSpec(host_count=8, packet_count=64, seed=seed), f)
+        old_mtime(inputs / name)
+    out, _ = run_python(_CRASH_POINTS, str(inputs), str(tmp_path / "work"))
+    report = json.loads(out)
+    assert all(r["points"] for r in report.values()), report
+    assert {name: r["failures"] for name, r in report.items()} == dict.fromkeys(report, [])
+
+
 # --- synth ---
 
 def test_synth_writes_pcap_and_ground_truth(tmp_path, capsys):
@@ -1922,6 +2187,8 @@ def test_synth_writes_pcap_and_ground_truth(tmp_path, capsys):
     assert rc == 0
     printed = kv_lines(capsys.readouterr().out)
     assert printed["packets"] == "600"
+    assert printed["hosts"] == "12"
+    assert printed["pcap_bytes"] == str(out.stat().st_size)
     assert printed["ground_truth"] == str(out) + ".truth"
     assert out.exists()
     truth_text = (tmp_path / "gen.pcap.truth").read_text()
@@ -1962,6 +2229,9 @@ def test_synth_invalid_spec_is_usage_error(tmp_path, capsys):
                      "--hosts", "1"]) == 1
     assert cli.main(["synth", "--out", str(tmp_path / "x.pcap"),
                      "--payload-min", "90", "--payload-max", "10"]) == 1
+    # The spec is checked before --out's directory is touched.
+    assert cli.main(["synth", "--out", str(tmp_path / "missing" / "x.pcap"),
+                     "--hosts", "1"]) == 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -1996,3 +2266,14 @@ def test_synth_custom_ground_truth_path(tmp_path, capsys):
                      "--ground-truth", str(truth)]) == 0
     assert truth.exists()
     assert not (tmp_path / "c.pcap.truth").exists()
+
+
+def test_synth_output_mode_comes_from_the_umask(tmp_path, capsys):
+    out = tmp_path / "c.pcap"
+    umask = 0o026  # masks no execute bit, so a mode with one shows
+    saved = os.umask(umask)
+    try:
+        assert cli.main(["synth", "--out", str(out), "--packets", "50"]) == 0
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
